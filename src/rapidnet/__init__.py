@@ -30,8 +30,6 @@ from .model import (
     VARIANTS,
     build_model,
     default_config,
-    iter_params,
-    model_forward,
 )
 from .ops import (
     BatchNorm2d,
@@ -52,7 +50,7 @@ from .reparam import (
     recalibrate_bn,
     reparameterize_model,
 )
-from .tensor import Rng, elementwise, randn, tensor_new
+from .tensor import Rng, randn, tensor_new
 from .trainer import AdamWState, SyntheticDataset, adamw_step, train_toy
 
 __version__ = "0.1.0"

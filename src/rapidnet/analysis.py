@@ -20,15 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .blocks import (
-    DilatedConvBlock,
-    DownsampleBlock,
-    HeadBlock,
-    InvertedResidualBlock,
-    LkFfnBlock,
-    MldcBlock,
-    StemBlock,
-)
+from .blocks import Parallel, Stage, item_stages, leaves
 from .errors import GeometryError
 from .model import ModelConfig, RapidNetModel, build_model
 from .ops import BatchNorm2d, Conv2dLayer, LinearLayer, out_shape
@@ -127,91 +119,47 @@ class _Trace:
             macs=linear_macs(layer), out_shape=[1, layer.out_features],
             k=1, d=1, trf=1))
 
-    def ew(self, count: int) -> None:
-        self.elementwise += count
-
-
-def _trace_block(tr: _Trace, name: str, block, h: int, w: int) -> Tuple[int, int]:
-    """Append the block's layer costs; returns the output spatial dims."""
-    if isinstance(block, StemBlock):
-        h, w = tr.conv(f"{name}.conv1", block.conv1, h, w)
-        c = block.conv1.out_channels
-        tr.bn(f"{name}.bn1", block.bn1, c, h, w)
-        tr.ew(c * h * w)  # gelu
-        h, w = tr.conv(f"{name}.conv2", block.conv2, h, w)
-        c = block.conv2.out_channels
-        tr.bn(f"{name}.bn2", block.bn2, c, h, w)
-        tr.ew(c * h * w)
-        return h, w
-    if isinstance(block, InvertedResidualBlock):
-        c = block.channels
-        tr.conv(f"{name}.expand", block.expand, h, w)
-        tr.bn(f"{name}.bn1", block.bn1, 4 * c, h, w)
-        tr.ew(4 * c * h * w)
-        tr.conv(f"{name}.dw", block.dw, h, w)
-        tr.bn(f"{name}.bn2", block.bn2, 4 * c, h, w)
-        tr.ew(4 * c * h * w)
-        tr.conv(f"{name}.project", block.project, h, w)
-        tr.bn(f"{name}.bn3", block.bn3, c, h, w)
-        tr.ew(c * h * w)  # residual add
-        return h, w
-    if isinstance(block, DownsampleBlock):
-        h, w = tr.conv(f"{name}.conv", block.conv, h, w)
-        tr.bn(f"{name}.bn", block.bn, block.conv.out_channels, h, w)
-        return h, w
-    if isinstance(block, MldcBlock):
-        c = block.channels
-        if block.cpe is not None:
-            tr.conv(f"{name}.cpe", block.cpe, h, w)
-            if block.cpe_skip:
-                tr.ew(c * h * w)  # identity skip add
-        tr.conv(f"{name}.pw_in", block.pw_in, h, w)
-        tr.bn(f"{name}.bn_in", block.bn_in, c, h, w)
-        for (bname, conv), bn in zip(
-                [(n, l) for n, l in block._layers() if n.startswith("branch_")],
-                block.branch_bns):
-            tr.conv(f"{name}.{bname}", conv, h, w)
-            tr.bn(f"{name}.bn_{bname[-1]}", bn, c, h, w)
-        n_branch = len(block.branches)
-        tr.ew((n_branch - 1) * c * h * w)  # branch sum
-        tr.ew((n_branch if block.gelu_per_branch else 1) * c * h * w)  # gelu
-        tr.conv(f"{name}.pw_out", block.pw_out, h, w)
-        tr.bn(f"{name}.bn_out", block.bn_out, c, h, w)
-        tr.ew(c * h * w)  # outer residual
-        return h, w
-    if isinstance(block, LkFfnBlock):
-        c = block.channels
-        tr.conv(f"{name}.dw", block.dw, h, w)
-        tr.bn(f"{name}.bn1", block.bn1, c, h, w)
-        tr.conv(f"{name}.fc1", block.fc1, h, w)
-        tr.ew(4 * c * h * w)  # gelu
-        tr.conv(f"{name}.fc2", block.fc2, h, w)
-        tr.bn(f"{name}.bn2", block.bn2, c, h, w)
-        tr.ew(c * h * w)  # outer residual
-        return h, w
-    if isinstance(block, DilatedConvBlock):
-        h, w = _trace_block(tr, f"{name}.mldc", block.mldc, h, w)
-        return _trace_block(tr, f"{name}.ffn", block.ffn, h, w)
-    if isinstance(block, HeadBlock):
-        c = block.fc.in_features if block.hidden is None else block.fc1.in_features
-        tr.ew(c * h * w)  # pooling
-        if block.hidden is None:
-            tr.linear(f"{name}.fc", block.fc)
+    def stage(self, prefix: str, st: Stage, c: int, h: int, w: int) -> Tuple[int, int, int]:
+        """Append one stage's costs for a (c, h, w) input; returns its output dims."""
+        if st.conv is None:  # global average pooling
+            self.elementwise += c * h * w
+            return c, 1, 1
+        if isinstance(st.conv, LinearLayer):
+            self.linear(prefix + st.name, st.conv)
+            c, h, w = st.conv.out_features, 1, 1
         else:
-            tr.linear(f"{name}.fc1", block.fc1)
-            tr.ew(block.hidden)  # gelu
-            tr.linear(f"{name}.fc2", block.fc2)
-        return h, w
-    raise TypeError(f"cannot trace block of type {type(block).__name__}")
+            h, w = self.conv(prefix + st.name, st.conv, h, w)
+            c = st.conv.out_channels
+        if st.skip:
+            self.elementwise += c * h * w
+        self.bn(prefix + st.bn_name, st.bn, c, h, w)
+        if st.act:
+            self.elementwise += c * h * w
+        return c, h, w
+
+
+def _trace_block(tr: _Trace, name: str, block, c: int, h: int, w: int) -> Tuple[int, int, int]:
+    """Append the block's layer costs for a (c, h, w) input; returns the output dims."""
+    for prefix, leaf in leaves(block):
+        for item in leaf.plan():
+            if isinstance(item, Parallel):
+                outs = [tr.stage(f"{name}.{prefix}", st, c, h, w) for st in item.stages]
+                c, h, w = outs[0]
+                tr.elementwise += (len(outs) - 1 + item.act) * c * h * w  # branch sum, GeLU
+            else:
+                c, h, w = tr.stage(f"{name}.{prefix}", item, c, h, w)
+        if leaf.residual:
+            tr.elementwise += c * h * w
+    return c, h, w
 
 
 def _trace_model(model: RapidNetModel, resolution: int) -> _Trace:
     if resolution % 32 != 0 or resolution < 32:
         raise GeometryError(f"resolution {resolution} must be a positive multiple of 32")
     tr = _Trace()
-    h = w = resolution
+    c, h, w = 3, resolution, resolution
     for name, block in model.named_blocks():
-        h, w = _trace_block(tr, name, block, h, w)
+        c, h, w = _trace_block(tr, name, block, c, h, w)
     return tr
 
 
@@ -228,7 +176,7 @@ def count_macs(model: RapidNetModel, resolution: int) -> int:
 def block_conv_macs(block, h: int, w: int) -> int:
     """MACs of a single block at the given input spatial dims (bench annotation)."""
     tr = _Trace()
-    _trace_block(tr, "block", block, h, w)
+    _trace_block(tr, "block", block, 0, h, w)  # only pooling reads the input channels
     return sum(layer.macs for layer in tr.layers)
 
 
@@ -249,31 +197,15 @@ def composite_rf(model: RapidNetModel) -> int:
     field, so the conv path dominates.  Global pooling and the classifier
     are excluded.
     """
-    r, j = 1, 1
-
-    def step(k: int, d: int, stride: int) -> None:
-        nonlocal r, j
-        r += (layer_trf(k, d) - 1) * j
-        j *= stride
-
+    chain = []
     for _, block in model.named_blocks():
-        for blk in ([block.mldc, block.ffn] if isinstance(block, DilatedConvBlock)
-                    else [block]):
-            if isinstance(blk, StemBlock):
-                step(3, 1, 2)
-                step(3, 1, 2)
-            elif isinstance(blk, InvertedResidualBlock):
-                step(3, 1, 1)
-            elif isinstance(blk, DownsampleBlock):
-                step(3, 1, 2)
-            elif isinstance(blk, MldcBlock):
-                if blk.cpe is not None:
-                    step(7, 1, 1)
-                grow = max(layer_trf(c.kernel_size, c.dilation) - 1 for c in blk.branches)
-                r += grow * j
-            elif isinstance(blk, LkFfnBlock):
-                step(blk.dw.kernel_size, 1, 1)
-    return r
+        for _, leaf in leaves(block):
+            for item in leaf.plan():
+                convs = [st.conv for st in item_stages(item) if isinstance(st.conv, Conv2dLayer)]
+                if convs:
+                    widest = max(convs, key=lambda c: layer_trf(c.kernel_size, c.dilation))
+                    chain.append((widest.kernel_size, widest.dilation, widest.stride))
+    return chain_rf(chain)
 
 
 def report(cfg: ModelConfig, resolution: int, model: Optional[RapidNetModel] = None

@@ -9,11 +9,14 @@ annotations, by contrast, are exact and shared with the analysis module.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import os
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +53,7 @@ class BenchResult:
     trimmed_mean_ns: float
     median_ns: float
     min_ns: int
-    threads: int
+    threads: Optional[int]
 
     def to_json_line(self) -> str:
         return json.dumps({
@@ -63,6 +66,21 @@ class BenchResult:
             "min_ns": self.min_ns,
             "threads": self.threads,
         })
+
+
+def blas_threads() -> Optional[int]:
+    """Thread count the OpenBLAS bundled with numpy reports; None when none is found."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return fn()
+    return None
 
 
 def trimmed_stats(times: Sequence[float], trim: int) -> Tuple[float, float, float]:
@@ -94,16 +112,15 @@ def _time_case(fn: Callable[[], None], protocol: BenchProtocol) -> List[int]:
 
 def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
                dilation: int = 3, kernel: int = 7, variant: str = "ti",
-               fused: bool = False, seed: int = 0, threads: int = 1) -> BenchResult:
+               fused: bool = False, seed: int = 0) -> BenchResult:
     """Time one benchmark case and annotate it with its exact MAC count.
 
     `shape` is the input (N, C, H, W); for the "model" case C must be 3 and
     H, W divisible by 32.  Cases: "dilated3x3" (dense 3x3 conv at the given
     dilation), "dense_kxk" (dense k x k conv), "mldc_block", "pw_mixer"
     (MLDC block with a pointwise mixer), "model" (full variant forward,
-    optionally reparameterized).  `threads` is recorded in the result for
-    bookkeeping; the harness itself drives a single Python thread and does
-    not alter numpy's internal threading.
+    optionally reparameterized).  The result's `threads` is what OpenBLAS
+    reports it uses; the harness itself does not alter numpy's threading.
     """
     protocol.validate()
     if case not in BENCH_CASES:
@@ -144,4 +161,4 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
     mean, median, tmin = trimmed_stats(rounds, protocol.trim)
     return BenchResult(label=label, shape=[n, c, h, w], macs=macs,
                        round_times_ns=rounds, trimmed_mean_ns=mean,
-                       median_ns=median, min_ns=int(tmin), threads=threads)
+                       median_ns=median, min_ns=int(tmin), threads=blas_threads())

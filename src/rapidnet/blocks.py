@@ -2,17 +2,26 @@
 multi-level dilated convolution (MLDC) block, large-kernel FFN, and the
 classifier head.
 
-Every block follows the same protocol: `forward(x, train=False)` runs the
-block (train mode uses batch statistics in BN, updates running estimates,
-and records the activations needed for `backward`); `backward(grad_out)`
-accumulates parameter gradients and returns the gradient w.r.t. the block
-input.  Blocks whose BN layers have been folded away (see `reparam`) carry
-`None` in the BN slots and skip normalization.
+Each block declares its layers once, as an ordered stage plan (`plan()`):
+`Stage` records (a conv, linear or pooling layer, then an optional BN and
+GeLU, with an optional identity skip around the conv) and `Parallel` groups
+whose branch outputs are summed under one optional GeLU.  A class-level
+`residual` flag adds the block input to the plan's output.  That plan drives
+the generic forward and backward below as well as parameter naming, BN and
+skip fusion (`reparam`) and cost and receptive-field tracing (`analysis`),
+so a new block type needs a plan here and a line in `model.build_model`.
+
+`forward(x, train=False)` runs the block (train mode uses batch statistics
+in BN, updates running estimates, and records the activations needed for
+`backward`); `backward(grad_out)` accumulates parameter gradients and returns
+the gradient w.r.t. the block input.  Blocks whose BN layers have been
+folded away (see `reparam`) carry `None` in the BN slots and skip
+normalization.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -35,6 +44,46 @@ from .ops import (
 from .tensor import Rng, add
 
 
+class Stage(NamedTuple):
+    """Layer `conv` -> optional BN -> optional GeLU.
+
+    `conv` is a Conv2dLayer, a LinearLayer, or None for global average
+    pooling.  With `skip`, the stage input is added to the conv output before
+    the BN: an identity skip that fusion folds into the kernel.
+    """
+
+    name: str
+    conv: Union[Conv2dLayer, LinearLayer, None]
+    bn_name: str = ""
+    bn: Optional[BatchNorm2d] = None
+    act: bool = False
+    skip: bool = False
+
+
+class Parallel(NamedTuple):
+    """Stages over one input whose outputs are summed, then an optional GeLU."""
+
+    stages: List[Stage]
+    act: bool
+
+
+def item_stages(item) -> List[Stage]:
+    """The stages of one plan item: a group's branches, or the stage itself."""
+    return item.stages if isinstance(item, Parallel) else [item]
+
+
+def stages(plan) -> List[Stage]:
+    """Every stage of a plan in forward order, parallel groups flattened."""
+    return [st for item in plan for st in item_stages(item)]
+
+
+def leaves(block) -> list:
+    """(name prefix, block) for each block in `block` that runs its own plan."""
+    if block.parts:
+        return [(f"{part}.", getattr(block, part)) for part in block.parts]
+    return [("", block)]
+
+
 def _apply_bn(x: np.ndarray, bn: Optional[BatchNorm2d], train: bool) -> np.ndarray:
     if bn is None:
         return x
@@ -42,37 +91,81 @@ def _apply_bn(x: np.ndarray, bn: Optional[BatchNorm2d], train: bool) -> np.ndarr
     return batchnorm_forward(x, bn)
 
 
-def _conv_chain_forward(x, conv, bn, act, train, cache):
-    """conv -> optional BN -> optional GeLU; appends (x, conv_out, bn_out) to cache."""
-    y = conv2d(x, conv)
-    z = _apply_bn(y, bn, train)
-    out = gelu(z) if act else z
+def _accumulate(layer, r) -> None:
+    for name, p in layer.named_params():
+        p.accumulate(r.grad_params[name])
+
+
+def _stage_forward(st: Stage, x, train, cache):
+    if st.conv is None:
+        y = global_avg_pool(x)
+    elif isinstance(st.conv, LinearLayer):
+        y = linear(x, st.conv)
+    else:
+        y = conv2d(x, st.conv)
+    if st.skip:
+        y = add(x, y)
+    z = _apply_bn(y, st.bn, train)
+    out = gelu(z) if st.act else z
     if cache is not None:
         cache.append((x, y, z))
     return out
 
 
-def _conv_chain_backward(grad, conv, bn, act, entry):
+def _stage_backward(st: Stage, grad, entry):
     x, y, z = entry
-    if act:
+    if st.act:
         grad = gelu_backward(z, grad)
-    if bn is not None:
-        r = batchnorm_backward(y, bn, grad)
-        bn.gamma.accumulate(r.grad_params["gamma"])
-        bn.beta.accumulate(r.grad_params["beta"])
+    if st.bn is not None:
+        r = batchnorm_backward(y, st.bn, grad)
+        _accumulate(st.bn, r)
         grad = r.grad_input
-    r = conv2d_backward(x, conv, grad)
-    conv.weight.accumulate(r.grad_params["weight"])
-    if conv.bias is not None:
-        conv.bias.accumulate(r.grad_params["bias"])
-    return r.grad_input
+    if st.conv is None:
+        return global_avg_pool_backward(x, grad)
+    if isinstance(st.conv, LinearLayer):
+        r = linear_backward(x, st.conv, grad)
+    else:
+        r = conv2d_backward(x, st.conv, grad)
+    _accumulate(st.conv, r)
+    return r.grad_input + grad if st.skip else r.grad_input
+
+
+def _parallel_forward(group: Parallel, x, train, cache):
+    entries: Optional[list] = [] if cache is not None else None
+    outs = [_stage_forward(st, x, train, entries) for st in group.stages]
+    pre = outs[0]
+    for out in outs[1:]:
+        pre = add(pre, out)
+    if cache is not None:
+        cache.append((entries, pre))
+    return gelu(pre) if group.act else pre
+
+
+def _parallel_backward(group: Parallel, grad, entry):
+    entries, pre = entry
+    if group.act:
+        grad = gelu_backward(pre, grad)
+    total = None
+    for st, e in zip(reversed(group.stages), reversed(entries)):
+        g = _stage_backward(st, grad, e)
+        total = g if total is None else total + g
+    return total
 
 
 class _Block:
-    """Shared cache plumbing for the concrete blocks."""
+    """Runs, names and exposes the layers of the block's stage plan."""
+
+    residual = False    # add the block input to the plan's output
+    input_multiple = 1  # input height and width must be multiples of this
+    parts = ()          # attribute names of the sub-blocks of a composite
+    fused = False       # skips folded into kernels (set on `reparam` copies)
 
     def __init__(self):
         self._cache = None
+
+    def plan(self) -> list:
+        """Stages and parallel groups in forward order; a composite has none of its own."""
+        return []
 
     def _take_cache(self):
         if self._cache is None:
@@ -81,25 +174,56 @@ class _Block:
         cache, self._cache = self._cache, None
         return cache
 
-    def _bn_slots(self):
-        return [(name, layer) for name, layer in self._layers() if isinstance(layer, BatchNorm2d)]
+    def named_layers(self):
+        """(name, layer) for every conv, linear and BN layer, in forward order."""
+        for prefix, leaf in leaves(self):
+            for st in stages(leaf.plan()):
+                if st.conv is not None:
+                    yield prefix + st.name, st.conv
+                if st.bn is not None:
+                    yield prefix + st.bn_name, st.bn
 
     def named_params(self):
-        for name, layer in self._layers():
-            if layer is None:
-                continue
+        for name, layer in self.named_layers():
             for pname, p in layer.named_params():
                 yield f"{name}.{pname}", p
 
     def named_buffers(self):
-        for name, layer in self._layers():
+        for name, layer in self.named_layers():
             if isinstance(layer, BatchNorm2d):
                 for bname, buf in layer.named_buffers():
                     yield f"{name}.{bname}", buf
 
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        if x.ndim != 4:
+            raise ShapeError(f"{type(self).__name__} expects a 4-D input, got {x.shape}")
+        m = self.input_multiple
+        if x.shape[2] % m or x.shape[3] % m:
+            raise GeometryError(f"{type(self).__name__} input resolution "
+                                f"{x.shape[2]}x{x.shape[3]} must be divisible by {m}")
+        plan = self.plan()
+        cache: Optional[list] = [] if train else None
+        h = x
+        for item in plan:
+            step = _parallel_forward if isinstance(item, Parallel) else _stage_forward
+            h = step(item, h, train, cache)
+        if train:
+            self._cache = (plan, cache)
+        return add(x, h) if self.residual else h
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        plan, cache = self._take_cache()
+        g = grad_out
+        for item, entry in zip(reversed(plan), reversed(cache)):
+            step = _parallel_backward if isinstance(item, Parallel) else _stage_backward
+            g = step(item, g, entry)
+        return grad_out + g if self.residual else g
+
 
 class StemBlock(_Block):
     """Two stride-2 3x3 conv+BN+GeLU stages; reduces resolution 4x."""
+
+    input_multiple = 4
 
     def __init__(self, in_channels: int, out_channels: int, *,
                  rng: Optional[Rng] = None, dtype=np.float32):
@@ -114,31 +238,15 @@ class StemBlock(_Block):
                                         bias=False, rng=rng, dtype=dtype)
         self.bn2: Optional[BatchNorm2d] = BatchNorm2d.create(out_channels, dtype=dtype)
 
-    def _layers(self):
-        return [("conv1", self.conv1), ("bn1", self.bn1),
-                ("conv2", self.conv2), ("bn2", self.bn2)]
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if x.ndim != 4:
-            raise ShapeError(f"stem expects a 4-D input, got {x.shape}")
-        if x.shape[2] % 4 != 0 or x.shape[3] % 4 != 0:
-            raise GeometryError(f"stem input resolution {x.shape[2]}x{x.shape[3]} "
-                                "must be divisible by 4")
-        cache: Optional[list] = [] if train else None
-        h = _conv_chain_forward(x, self.conv1, self.bn1, True, train, cache)
-        h = _conv_chain_forward(h, self.conv2, self.bn2, True, train, cache)
-        if train:
-            self._cache = cache
-        return h
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        c1, c2 = self._take_cache()
-        g = _conv_chain_backward(grad_out, self.conv2, self.bn2, True, c2)
-        return _conv_chain_backward(g, self.conv1, self.bn1, True, c1)
+    def plan(self):
+        return [Stage("conv1", self.conv1, "bn1", self.bn1, act=True),
+                Stage("conv2", self.conv2, "bn2", self.bn2, act=True)]
 
 
 class InvertedResidualBlock(_Block):
     """1x1 expand (ratio 4) -> 3x3 depthwise -> 1x1 project, residual around all."""
+
+    residual = True
 
     def __init__(self, channels: int, *, rng: Optional[Rng] = None, dtype=np.float32):
         super().__init__()
@@ -155,25 +263,10 @@ class InvertedResidualBlock(_Block):
     def channels(self) -> int:
         return self.expand.in_channels
 
-    def _layers(self):
-        return [("expand", self.expand), ("bn1", self.bn1), ("dw", self.dw),
-                ("bn2", self.bn2), ("project", self.project), ("bn3", self.bn3)]
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        cache: Optional[list] = [] if train else None
-        h = _conv_chain_forward(x, self.expand, self.bn1, True, train, cache)
-        h = _conv_chain_forward(h, self.dw, self.bn2, True, train, cache)
-        h = _conv_chain_forward(h, self.project, self.bn3, False, train, cache)
-        if train:
-            self._cache = cache
-        return add(x, h)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        c1, c2, c3 = self._take_cache()
-        g = _conv_chain_backward(grad_out, self.project, self.bn3, False, c3)
-        g = _conv_chain_backward(g, self.dw, self.bn2, True, c2)
-        g = _conv_chain_backward(g, self.expand, self.bn1, True, c1)
-        return grad_out + g
+    def plan(self):
+        return [Stage("expand", self.expand, "bn1", self.bn1, act=True),
+                Stage("dw", self.dw, "bn2", self.bn2, act=True),
+                Stage("project", self.project, "bn3", self.bn3)]
 
 
 class DownsampleBlock(_Block):
@@ -186,19 +279,8 @@ class DownsampleBlock(_Block):
                                        bias=False, rng=rng, dtype=dtype)
         self.bn: Optional[BatchNorm2d] = BatchNorm2d.create(out_channels, dtype=dtype)
 
-    def _layers(self):
-        return [("conv", self.conv), ("bn", self.bn)]
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        cache: Optional[list] = [] if train else None
-        h = _conv_chain_forward(x, self.conv, self.bn, False, train, cache)
-        if train:
-            self._cache = cache
-        return h
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        (c1,) = self._take_cache()
-        return _conv_chain_backward(grad_out, self.conv, self.bn, False, c1)
+    def plan(self):
+        return [Stage("conv", self.conv, "bn", self.bn)]
 
 
 MIXER_MODES = ("mldc", "sldc", "conv3x3", "pointwise")
@@ -211,7 +293,10 @@ class MldcBlock(_Block):
 
     `mixer_mode` selects the branch set: "mldc" (two dilated convs), "sldc"
     (one dilated conv), "conv3x3" (one regular 3x3), "pointwise" (one 1x1).
+    Branch i lives in the attributes `branch_<t>` and `bn_<t>`, t = "ab"[i].
     """
+
+    residual = True
 
     def __init__(self, channels: int, *, dilations=(2, 3), kernel: int = 3,
                  mixer_mode: str = "mldc", use_cpe: bool = True,
@@ -228,7 +313,6 @@ class MldcBlock(_Block):
                 rng=rng, dtype=dtype)
         else:
             self.cpe = None
-        self.cpe_skip = use_cpe  # identity skip around the CPE; cleared by fusion
         self.pw_in = Conv2dLayer.create(channels, channels, 1, bias=False, rng=rng, dtype=dtype)
         self.bn_in: Optional[BatchNorm2d] = BatchNorm2d.create(channels, dtype=dtype)
 
@@ -240,13 +324,12 @@ class MldcBlock(_Block):
             specs = [(3, 1)]
         else:  # pointwise
             specs = [(1, 1)]
-        self.branches: List[Conv2dLayer] = []
-        self.branch_bns: List[Optional[BatchNorm2d]] = []
-        for k, d in specs:
-            self.branches.append(Conv2dLayer.create(
+        self._tags = "ab"[:len(specs)]
+        for tag, (k, d) in zip(self._tags, specs):
+            setattr(self, f"branch_{tag}", Conv2dLayer.create(
                 channels, channels, k, padding=d * (k - 1) // 2, dilation=d,
                 bias=False, rng=rng, dtype=dtype))
-            self.branch_bns.append(BatchNorm2d.create(channels, dtype=dtype))
+            setattr(self, f"bn_{tag}", BatchNorm2d.create(channels, dtype=dtype))
 
         self.pw_out = Conv2dLayer.create(channels, channels, 1, bias=False, rng=rng, dtype=dtype)
         self.bn_out: Optional[BatchNorm2d] = BatchNorm2d.create(channels, dtype=dtype)
@@ -255,67 +338,28 @@ class MldcBlock(_Block):
     def channels(self) -> int:
         return self.pw_in.in_channels
 
-    def _layers(self):
-        layers = [("cpe", self.cpe), ("pw_in", self.pw_in), ("bn_in", self.bn_in)]
-        for i, (conv, bn) in enumerate(zip(self.branches, self.branch_bns)):
-            tag = chr(ord("a") + i)
-            layers.append((f"branch_{tag}", conv))
-            layers.append((f"bn_{tag}", bn))
-        layers += [("pw_out", self.pw_out), ("bn_out", self.bn_out)]
-        return layers
+    @property
+    def branches(self) -> List[Conv2dLayer]:
+        return [getattr(self, f"branch_{t}") for t in self._tags]
 
-    def forward(self, x: np.ndarray, train: bool = False,
-                cpe_skip: Optional[bool] = None) -> np.ndarray:
-        if x.shape[1] != self.channels:
-            raise ShapeError(f"input has {x.shape[1]} channels, block expects {self.channels}")
-        skip = self.cpe_skip if cpe_skip is None else cpe_skip
-        cache: Optional[list] = [] if train else None
+    @property
+    def branch_bns(self) -> List[Optional[BatchNorm2d]]:
+        return [getattr(self, f"bn_{t}") for t in self._tags]
 
-        if self.cpe is not None:
-            c = conv2d(x, self.cpe)
-            y = add(x, c) if skip else c
-        else:
-            y = x
-        t = _conv_chain_forward(y, self.pw_in, self.bn_in, False, train, cache)
-
-        branch_outs = []
-        for conv, bn in zip(self.branches, self.branch_bns):
-            branch_outs.append(_conv_chain_forward(t, conv, bn, self.gelu_per_branch,
-                                                   train, cache))
-        pre = branch_outs[0]
-        for b in branch_outs[1:]:
-            pre = add(pre, b)
-        z = pre if self.gelu_per_branch else gelu(pre)
-
-        u = _conv_chain_forward(z, self.pw_out, self.bn_out, False, train, cache)
-        if train:
-            self._cache = (x, skip, pre, cache)
-        return add(x, u)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, skip, pre, chain = self._take_cache()
-        n_branch = len(self.branches)
-        g = _conv_chain_backward(grad_out, self.pw_out, self.bn_out, False, chain[-1])
-        if not self.gelu_per_branch:
-            g = gelu_backward(pre, g)
-        grad_t = None
-        for i in range(n_branch - 1, -1, -1):
-            gi = _conv_chain_backward(g, self.branches[i], self.branch_bns[i],
-                                      self.gelu_per_branch, chain[1 + i])
-            grad_t = gi if grad_t is None else grad_t + gi
-        g = _conv_chain_backward(grad_t, self.pw_in, self.bn_in, False, chain[0])
-        if self.cpe is not None:
-            r = conv2d_backward(x, self.cpe, g)
-            self.cpe.weight.accumulate(r.grad_params["weight"])
-            if self.cpe.bias is not None:
-                self.cpe.bias.accumulate(r.grad_params["bias"])
-            g = r.grad_input + g if skip else r.grad_input
-        return grad_out + g
+    def plan(self):
+        mixer = Parallel([Stage(f"branch_{t}", conv, f"bn_{t}", bn, act=self.gelu_per_branch)
+                          for t, conv, bn in zip(self._tags, self.branches, self.branch_bns)],
+                         act=not self.gelu_per_branch)
+        cpe = [] if self.cpe is None else [Stage("cpe", self.cpe, skip=not self.fused)]
+        return cpe + [Stage("pw_in", self.pw_in, "bn_in", self.bn_in), mixer,
+                      Stage("pw_out", self.pw_out, "bn_out", self.bn_out)]
 
 
 class LkFfnBlock(_Block):
     """Large-kernel FFN: 7x7 depthwise conv + BN, then a two-layer pointwise
     MLP (expansion 4) with GeLU; outer residual."""
+
+    residual = True
 
     def __init__(self, channels: int, *, large_kernel: bool = True,
                  rng: Optional[Rng] = None, dtype=np.float32):
@@ -333,48 +377,21 @@ class LkFfnBlock(_Block):
     def channels(self) -> int:
         return self.dw.in_channels
 
-    def _layers(self):
-        return [("dw", self.dw), ("bn1", self.bn1), ("fc1", self.fc1),
-                ("fc2", self.fc2), ("bn2", self.bn2)]
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if x.shape[1] != self.channels:
-            raise ShapeError(f"input has {x.shape[1]} channels, block expects {self.channels}")
-        cache: Optional[list] = [] if train else None
-        h = _conv_chain_forward(x, self.dw, self.bn1, False, train, cache)
-        h = _conv_chain_forward(h, self.fc1, None, True, train, cache)
-        h = _conv_chain_forward(h, self.fc2, self.bn2, False, train, cache)
-        if train:
-            self._cache = cache
-        return add(x, h)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        c1, c2, c3 = self._take_cache()
-        g = _conv_chain_backward(grad_out, self.fc2, self.bn2, False, c3)
-        g = _conv_chain_backward(g, self.fc1, None, True, c2)
-        g = _conv_chain_backward(g, self.dw, self.bn1, False, c1)
-        return grad_out + g
+    def plan(self):
+        return [Stage("dw", self.dw, "bn1", self.bn1),
+                Stage("fc1", self.fc1, act=True),
+                Stage("fc2", self.fc2, "bn2", self.bn2)]
 
 
 class DilatedConvBlock(_Block):
     """MLDC block followed by the large-kernel FFN; shape preserving."""
 
+    parts = ("mldc", "ffn")
+
     def __init__(self, mldc: MldcBlock, ffn: LkFfnBlock):
         super().__init__()
         self.mldc = mldc
         self.ffn = ffn
-
-    def named_params(self):
-        for name, p in self.mldc.named_params():
-            yield f"mldc.{name}", p
-        for name, p in self.ffn.named_params():
-            yield f"ffn.{name}", p
-
-    def named_buffers(self):
-        for name, b in self.mldc.named_buffers():
-            yield f"mldc.{name}", b
-        for name, b in self.ffn.named_buffers():
-            yield f"ffn.{name}", b
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return self.ffn.forward(self.mldc.forward(x, train), train)
@@ -406,77 +423,7 @@ class HeadBlock(_Block):
     def num_classes(self) -> int:
         return (self.fc or self.fc2).out_features
 
-    def _layers(self):
+    def plan(self):
         if self.hidden is None:
-            return [("fc", self.fc)]
-        return [("fc1", self.fc1), ("fc2", self.fc2)]
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        pooled = global_avg_pool(x)
-        if self.hidden is None:
-            logits = linear(pooled, self.fc)
-            if train:
-                self._cache = (x, pooled)
-        else:
-            h = linear(pooled, self.fc1)
-            a = gelu(h)
-            logits = linear(a, self.fc2)
-            if train:
-                self._cache = (x, pooled, h, a)
-        return logits
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        cache = self._take_cache()
-        if self.hidden is None:
-            x, pooled = cache
-            r = linear_backward(pooled, self.fc, grad_out)
-            self.fc.weight.accumulate(r.grad_params["weight"])
-            self.fc.bias.accumulate(r.grad_params["bias"])
-            g = r.grad_input
-        else:
-            x, pooled, h, a = cache
-            r2 = linear_backward(a, self.fc2, grad_out)
-            self.fc2.weight.accumulate(r2.grad_params["weight"])
-            self.fc2.bias.accumulate(r2.grad_params["bias"])
-            g = gelu_backward(h, r2.grad_input)
-            r1 = linear_backward(pooled, self.fc1, g)
-            self.fc1.weight.accumulate(r1.grad_params["weight"])
-            self.fc1.bias.accumulate(r1.grad_params["bias"])
-            g = r1.grad_input
-        return global_avg_pool_backward(x, g)
-
-
-# ---------------------------------------------------------------------------
-# eval-mode functional wrappers
-
-
-def stem_forward(x: np.ndarray, stem: StemBlock) -> np.ndarray:
-    return stem.forward(x)
-
-
-def irb_forward(x: np.ndarray, block: InvertedResidualBlock) -> np.ndarray:
-    return block.forward(x)
-
-
-def downsample_forward(x: np.ndarray, block: DownsampleBlock) -> np.ndarray:
-    return block.forward(x)
-
-
-def mldc_forward(x: np.ndarray, block: MldcBlock, mode: str = "train") -> np.ndarray:
-    """Run the MLDC block with the identity skip active ("train") or already
-    folded into the depthwise kernel ("fused")."""
-    if mode not in ("train", "fused"):
-        raise ValueError(f"mode must be 'train' or 'fused', got {mode!r}")
-    return block.forward(x, cpe_skip=(mode == "train"))
-
-
-def lkffn_forward(x: np.ndarray, block: LkFfnBlock) -> np.ndarray:
-    return block.forward(x)
-
-
-def dcb_forward(x: np.ndarray, block: DilatedConvBlock) -> np.ndarray:
-    return block.forward(x)
-
-
-def head_forward(x: np.ndarray, head: HeadBlock) -> np.ndarray:
-    return head.forward(x)
+            return [Stage("pool", None), Stage("fc", self.fc)]
+        return [Stage("pool", None), Stage("fc1", self.fc1, act=True), Stage("fc2", self.fc2)]

@@ -219,7 +219,7 @@ def cmd_bench(args) -> int:
                                    trim=args.trim, warmup=args.warmup)
     result = bench.bench_case(args.case, args.shape, protocol, dilation=args.dilation,
                               kernel=args.kernel, variant=args.variant,
-                              fused=args.fused, seed=args.seed, threads=args.threads)
+                              fused=args.fused, seed=args.seed)
     print(result.to_json_line())
     return 0
 
@@ -267,6 +267,9 @@ def cmd_infer(args) -> int:
     le = np.dtype(model.dtype).newbyteorder("<")
     x = np.frombuffer(raw, dtype=le).reshape(shape).astype(model.dtype)
     logits = model.forward(x)
+    if not np.all(np.isfinite(logits)):
+        print("error: the model produced non-finite logits", file=sys.stderr)
+        return RUNTIME_ERROR
     k = min(args.topk, logits.shape[1])
     out = []
     for row in logits:
@@ -342,7 +345,6 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--trim", type=int, default=10)
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(fn=cmd_bench)
 

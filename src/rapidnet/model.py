@@ -9,7 +9,7 @@ Variant configurations (ti/s/m/b) follow the published architecture table;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -25,7 +25,7 @@ from .blocks import (
     StemBlock,
 )
 from .errors import ConfigError, GeometryError, ShapeError
-from .ops import Param
+from .ops import BatchNorm2d, Param
 from .tensor import Rng, resolve_dtype
 
 
@@ -167,21 +167,12 @@ class RapidNetModel:
         for bn in self.iter_batchnorms():
             bn.mode = mode
 
-    def iter_batchnorms(self) -> Iterator[object]:
+    def iter_batchnorms(self) -> Iterator[BatchNorm2d]:
         """Every BatchNorm2d layer in the structure (none after fusion)."""
-        from .ops import BatchNorm2d
-
         for _, blk in self.named_blocks():
-            stack = [blk]
-            while stack:
-                b = stack.pop()
-                if isinstance(b, DilatedConvBlock):
-                    stack += [b.mldc, b.ffn]
-                    continue
-                for attr in vars(b).values():
-                    for item in (attr if isinstance(attr, list) else [attr]):
-                        if isinstance(item, BatchNorm2d):
-                            yield item
+            for _, layer in blk.named_layers():
+                if isinstance(layer, BatchNorm2d):
+                    yield layer
 
     def named_blocks(self) -> Iterator[Tuple[str, object]]:
         """(name, block) pairs in forward order."""
@@ -277,15 +268,3 @@ def build_model(cfg: ModelConfig, dtype="f32") -> RapidNetModel:
                      rng=rng, dtype=dt)
     return RapidNetModel(cfg, stem, stages, downsamples, head, dtype=dt)
 
-
-def model_forward(model: RapidNetModel, x: np.ndarray) -> np.ndarray:
-    return model.forward(x)
-
-
-def iter_params(model: RapidNetModel) -> List[Tuple[str, Param]]:
-    """Ordered (name, param) list; every learnable tensor appears exactly once."""
-    return model.iter_params()
-
-
-def with_seed(cfg: ModelConfig, seed: int) -> ModelConfig:
-    return replace(cfg, seed=seed)

@@ -19,15 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .blocks import (
-    DilatedConvBlock,
-    DownsampleBlock,
-    HeadBlock,
-    InvertedResidualBlock,
-    LkFfnBlock,
-    MldcBlock,
-    StemBlock,
-)
+from .blocks import stages
 from .errors import FusionError, ShapeError, StateError
 from .model import RapidNetModel
 from .ops import BatchNorm2d, Conv2dLayer, LinearLayer
@@ -82,14 +74,12 @@ def fold_bn_into_conv(conv: Conv2dLayer, bn: BatchNorm2d) -> Conv2dLayer:
                        dilation=conv.dilation, groups=conv.groups)
 
 
-def _clone_conv(conv: Conv2dLayer) -> Conv2dLayer:
-    b = conv.bias.value.copy() if conv.bias is not None else None
-    return Conv2dLayer(conv.weight.value.copy(), b, stride=conv.stride,
-                       padding=conv.padding, dilation=conv.dilation, groups=conv.groups)
-
-
-def _clone_linear(layer: LinearLayer) -> LinearLayer:
-    return LinearLayer(layer.weight.value.copy(), layer.bias.value.copy())
+def _clone(layer):
+    if isinstance(layer, LinearLayer):
+        return LinearLayer(layer.weight.value.copy(), layer.bias.value.copy())
+    b = layer.bias.value.copy() if layer.bias is not None else None
+    return Conv2dLayer(layer.weight.value.copy(), b, stride=layer.stride,
+                       padding=layer.padding, dilation=layer.dilation, groups=layer.groups)
 
 
 class _Counter:
@@ -97,73 +87,31 @@ class _Counter:
         self.skips = 0
         self.bns = 0
 
-    def fold(self, conv: Conv2dLayer, bn: Optional[BatchNorm2d]) -> Conv2dLayer:
+    def fold(self, conv, bn: Optional[BatchNorm2d]):
         if bn is None:
-            return _clone_conv(conv)
+            return _clone(conv)
         self.bns += 1
         return fold_bn_into_conv(conv, bn)
 
 
-def _shell(block):
+def _fuse_block(block, counter: _Counter):
+    """Copy of `block` with each skip folded into its kernel and each BN into its conv."""
     out = copy.copy(block)
     out._cache = None
-    return out
-
-
-def _fuse_block(block, counter: _Counter):
-    if isinstance(block, StemBlock):
-        out = _shell(block)
-        out.conv1 = counter.fold(block.conv1, block.bn1)
-        out.conv2 = counter.fold(block.conv2, block.bn2)
-        out.bn1 = out.bn2 = None
-        return out
-    if isinstance(block, InvertedResidualBlock):
-        out = _shell(block)
-        out.expand = counter.fold(block.expand, block.bn1)
-        out.dw = counter.fold(block.dw, block.bn2)
-        out.project = counter.fold(block.project, block.bn3)
-        out.bn1 = out.bn2 = out.bn3 = None
-        return out
-    if isinstance(block, DownsampleBlock):
-        out = _shell(block)
-        out.conv = counter.fold(block.conv, block.bn)
-        out.bn = None
-        return out
-    if isinstance(block, MldcBlock):
-        out = _shell(block)
-        if block.cpe is not None and block.cpe_skip:
-            out.cpe = fuse_identity_into_dw(block.cpe)
+    out.fused = True
+    for part in block.parts:
+        setattr(out, part, _fuse_block(getattr(block, part), counter))
+    for st in stages(block.plan()):
+        if st.conv is None:
+            continue
+        conv = st.conv
+        if st.skip:
+            conv = fuse_identity_into_dw(conv)
             counter.skips += 1
-        elif block.cpe is not None:
-            out.cpe = _clone_conv(block.cpe)
-        out.cpe_skip = False
-        out.pw_in = counter.fold(block.pw_in, block.bn_in)
-        out.branches = [counter.fold(c, b) for c, b in zip(block.branches, block.branch_bns)]
-        out.branch_bns = [None] * len(block.branches)
-        out.pw_out = counter.fold(block.pw_out, block.bn_out)
-        out.bn_in = out.bn_out = None
-        return out
-    if isinstance(block, LkFfnBlock):
-        out = _shell(block)
-        out.dw = counter.fold(block.dw, block.bn1)
-        out.fc1 = _clone_conv(block.fc1)
-        out.fc2 = counter.fold(block.fc2, block.bn2)
-        out.bn1 = out.bn2 = None
-        return out
-    if isinstance(block, DilatedConvBlock):
-        out = _shell(block)
-        out.mldc = _fuse_block(block.mldc, counter)
-        out.ffn = _fuse_block(block.ffn, counter)
-        return out
-    if isinstance(block, HeadBlock):
-        out = _shell(block)
-        if block.hidden is None:
-            out.fc = _clone_linear(block.fc)
-        else:
-            out.fc1 = _clone_linear(block.fc1)
-            out.fc2 = _clone_linear(block.fc2)
-        return out
-    raise TypeError(f"cannot fuse block of type {type(block).__name__}")
+        setattr(out, st.name, counter.fold(conv, st.bn))
+        if st.bn is not None:
+            setattr(out, st.bn_name, None)
+    return out
 
 
 def reparameterize_model(model: RapidNetModel, *,

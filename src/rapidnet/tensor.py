@@ -86,35 +86,8 @@ def randn(shape: Sequence[int], rng: Rng, mean: float = 0.0, std: float = 1.0,
     return out.astype(resolve_dtype(dtype))
 
 
-def _check_operands(a: np.ndarray, b) -> None:
-    if isinstance(b, np.ndarray) and a.shape != b.shape:
-        raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
-
-
 def add(a: np.ndarray, b) -> np.ndarray:
     """Elementwise a + b; b may be a tensor of equal shape or a scalar."""
-    _check_operands(a, b)
+    if isinstance(b, np.ndarray) and a.shape != b.shape:
+        raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
     return a + b
-
-
-def mul(a: np.ndarray, b) -> np.ndarray:
-    """Elementwise a * b; b may be a tensor of equal shape or a scalar."""
-    _check_operands(a, b)
-    return a * b
-
-
-def scale(a: np.ndarray, s: Scalar) -> np.ndarray:
-    """Multiply every element of a by the scalar s."""
-    return a * a.dtype.type(s)
-
-
-_ELEMENTWISE = {"add": add, "mul": mul, "scale": scale}
-
-
-def elementwise(op: str, a: np.ndarray, b) -> np.ndarray:
-    """Dispatch an elementwise op by name ('add', 'mul', 'scale')."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(a, b)

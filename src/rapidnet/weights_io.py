@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import CorruptFileError, FormatError, IntegrityError, VersionError
 from .model import ModelConfig, RapidNetModel, build_model
+from .tensor import resolve_dtype
 
 MAGIC = b"RPDN"
 VERSION = 1
@@ -101,7 +102,9 @@ def load(path: str) -> RapidNetModel:
         try:
             blob = json.loads(_read_exact(fh, cfg_len).decode("utf-8"))
             cfg = ModelConfig.from_dict(blob)
-        except (ValueError, KeyError) as exc:
+            cfg.validate()
+            dtype = resolve_dtype(blob.get("dtype", "f32"))
+        except (ValueError, KeyError, TypeError) as exc:
             raise CorruptFileError(f"unreadable config blob: {exc}") from exc
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         stored: Dict[str, np.ndarray] = {}
@@ -111,7 +114,7 @@ def load(path: str) -> RapidNetModel:
                 raise IntegrityError(f"duplicate tensor entry {name!r}")
             stored[name] = arr
 
-    model = build_model(cfg, dtype=blob.get("dtype", "f32"))
+    model = build_model(cfg, dtype=dtype)
     if blob.get("fused", False):
         from .reparam import reparameterize_model
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,23 @@ def fd_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
         g[i] = (up - down) / (2.0 * h)
         it.iternext()
     return g
+
+
+# Config-blob defects a checkpoint can carry: each must load as a CorruptFileError.
+DEFECTIVE_CONFIGS = {
+    "two_element_stage": lambda b: {**b, "stages": [b["stages"][0][:2]] + b["stages"][1:]},
+    "null_dilations": lambda b: {**b, "dilations": None},
+    "list_blob": lambda b: [b],
+    "bogus_mixer_mode": lambda b: {**b, "mixer_mode": "bogus"},
+}
+
+
+def rewrite_config(path, mutate) -> None:
+    """Replace a checkpoint's JSON config blob with mutate(blob), keeping the entries."""
+    data = path.read_bytes()
+    (n,) = struct.unpack("<I", data[6:10])
+    blob = json.dumps(mutate(json.loads(data[10:10 + n]))).encode("utf-8")
+    path.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob + data[10 + n:])
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rapidnet
 from rapidnet.analysis import block_conv_macs, conv_macs, count_macs
-from rapidnet.bench import BenchProtocol, bench_case, trimmed_stats
+from rapidnet.bench import BenchProtocol, bench_case, blas_threads, trimmed_stats
 from rapidnet.blocks import MldcBlock
 from rapidnet.model import build_model, default_config
 from rapidnet.ops import Conv2dLayer
@@ -85,6 +89,19 @@ class TestBenchCase:
         data = json.loads(result.to_json_line())
         assert list(data) == ["label", "shape", "macs", "round_times_ns",
                               "trimmed_mean_ns", "median_ns", "min_ns", "threads"]
+        assert data["threads"] == blas_threads()
+
+    def test_threads_follow_openblas(self):
+        # the count comes from OpenBLAS, so it follows the thread variable
+        # set before numpy loads
+        if blas_threads() is None:
+            pytest.skip("numpy carries no OpenBLAS library")
+        src = os.path.dirname(os.path.dirname(rapidnet.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c",
+                              "from rapidnet.bench import blas_threads; print(blas_threads())"],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "1"
 
     def test_unknown_case(self):
         with pytest.raises(ValueError):

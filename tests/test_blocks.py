@@ -9,13 +9,6 @@ from rapidnet.blocks import (
     LkFfnBlock,
     MldcBlock,
     StemBlock,
-    dcb_forward,
-    downsample_forward,
-    head_forward,
-    irb_forward,
-    lkffn_forward,
-    mldc_forward,
-    stem_forward,
 )
 from rapidnet.errors import GeometryError, ShapeError
 
@@ -23,34 +16,34 @@ from rapidnet.errors import GeometryError, ShapeError
 class TestStem:
     def test_quarter_resolution_ti_width(self, rng):
         stem = StemBlock(3, 32, rng=rng)
-        out = stem_forward(rng.normal((1, 3, 224, 224)), stem)
+        out = stem.forward(rng.normal((1, 3, 224, 224)))
         assert out.shape == (1, 32, 56, 56)
 
     def test_minimum_size(self, rng):
         stem = StemBlock(3, 8, rng=rng)
-        assert stem_forward(rng.normal((1, 3, 4, 4)), stem).shape == (1, 8, 1, 1)
+        assert stem.forward(rng.normal((1, 3, 4, 4))).shape == (1, 8, 1, 1)
 
     def test_indivisible_resolution(self, rng):
         stem = StemBlock(3, 8, rng=rng)
         with pytest.raises(GeometryError):
-            stem_forward(rng.normal((1, 3, 226, 224)), stem)
+            stem.forward(rng.normal((1, 3, 226, 224)))
 
 
 class TestInvertedResidual:
     def test_zero_weights_is_identity(self, rng):
         block = InvertedResidualBlock(4)  # zero-initialized convs, identity BN stats
         x = rng.normal((2, 4, 6, 6))
-        assert np.allclose(irb_forward(x, block), x)
+        assert np.allclose(block.forward(x), x)
 
     def test_shape_preserved_stage3_width(self, rng):
         block = InvertedResidualBlock(112, rng=rng)
         x = rng.normal((1, 112, 14, 14))
-        assert irb_forward(x, block).shape == (1, 112, 14, 14)
+        assert block.forward(x).shape == (1, 112, 14, 14)
 
     def test_channel_mismatch(self, rng):
         block = InvertedResidualBlock(4, rng=rng)
         with pytest.raises(ShapeError):
-            irb_forward(rng.normal((1, 5, 6, 6)), block)
+            block.forward(rng.normal((1, 5, 6, 6)))
 
 
 class TestMldc:
@@ -64,7 +57,7 @@ class TestMldc:
     def test_shape_preserved_stage4_width(self, rng):
         block = MldcBlock(224, rng=rng)
         x = rng.normal((1, 224, 7, 7))
-        assert mldc_forward(x, block, "train").shape == (1, 224, 7, 7)
+        assert block.forward(x).shape == (1, 224, 7, 7)
 
     def test_small_inputs_permitted(self, rng):
         block = MldcBlock(4, rng=rng)
@@ -75,16 +68,9 @@ class TestMldc:
         block = MldcBlock(4, rng=rng)
         x = rng.normal((1, 4, 8, 8))
         out = block.forward(x)
-        a, b = block.branches
-        bn_a, bn_b = block.branch_bns
-        block.branches = [b, a]
-        block.branch_bns = [bn_b, bn_a]
+        block.branch_a, block.branch_b = block.branch_b, block.branch_a
+        block.bn_a, block.bn_b = block.bn_b, block.bn_a
         assert np.allclose(block.forward(x), out)
-
-    def test_mode_argument_validated(self, rng):
-        block = MldcBlock(4, rng=rng)
-        with pytest.raises(ValueError):
-            mldc_forward(rng.normal((1, 4, 4, 4)), block, "inference")
 
     def test_branch_counts_per_mode(self, rng):
         assert len(MldcBlock(4, mixer_mode="mldc", rng=rng).branches) == 2
@@ -105,12 +91,12 @@ class TestLkFfn:
     def test_zero_weights_is_identity(self, rng):
         block = LkFfnBlock(4)
         x = rng.normal((1, 4, 8, 8))
-        assert np.allclose(lkffn_forward(x, block), x)
+        assert np.allclose(block.forward(x), x)
 
     def test_shape_preserved_m_stage3(self, rng):
         block = LkFfnBlock(160, rng=rng)
         x = rng.normal((2, 160, 14, 14))
-        assert lkffn_forward(x, block).shape == (2, 160, 14, 14)
+        assert block.forward(x).shape == (2, 160, 14, 14)
 
     def test_small_kernel_flag(self, rng):
         block = LkFfnBlock(4, large_kernel=False, rng=rng)
@@ -123,22 +109,22 @@ class TestComposites:
     def test_dcb_shape(self, rng):
         dcb = DilatedConvBlock(MldcBlock(112, rng=rng), LkFfnBlock(112, rng=rng))
         x = rng.normal((1, 112, 14, 14))
-        assert dcb_forward(x, dcb).shape == (1, 112, 14, 14)
+        assert dcb.forward(x).shape == (1, 112, 14, 14)
 
     def test_downsample_ti_stage3_to_4(self, rng):
         block = DownsampleBlock(112, 224, rng=rng)
         x = rng.normal((1, 112, 14, 14))
-        assert downsample_forward(x, block).shape == (1, 224, 7, 7)
+        assert block.forward(x).shape == (1, 224, 7, 7)
 
     def test_head_shape(self, rng):
         head = HeadBlock(224, 1000, rng=rng)
         x = rng.normal((1, 224, 7, 7))
-        assert head_forward(x, head).shape == (1, 1000)
+        assert head.forward(x).shape == (1, 1000)
 
     def test_head_hidden_shape(self, rng):
         head = HeadBlock(224, 1000, hidden=1280, rng=rng)
         x = rng.normal((2, 224, 7, 7))
-        assert head_forward(x, head).shape == (2, 1000)
+        assert head.forward(x).shape == (2, 1000)
 
 
 class TestResidualPassthrough:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import DEFECTIVE_CONFIGS, rewrite_config
 from rapidnet.cli import main
 from rapidnet.reparam import count_batchnorms
 from rapidnet.tensor import Rng
@@ -103,6 +104,11 @@ class TestBench:
         assert data["macs"] > 0
         assert len(data["round_times_ns"]) == 4
 
+    def test_threads_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--case", "dilated3x3", "--threads", "4"])
+        assert exc.value.code == 1
+
 
 class TestTrainToy:
     def test_csv_with_decreasing_cosine_lr(self, tmp_path, capsys):
@@ -174,6 +180,25 @@ class TestInferExport:
         top_a = [e["class"] for e in json.loads(out_a)["topk"][0]]
         top_b = [e["class"] for e in json.loads(out_b)["topk"][0]]
         assert top_a == top_b
+
+    def test_infer_non_finite_logits_exits_two(self, checkpoint, tmp_path, capsys):
+        raw = tmp_path / "nan.bin"
+        raw.write_bytes(np.full((1, 3, 32, 32), np.nan, dtype="<f4").tobytes())
+        code, out, err = run(["infer", "--model", str(checkpoint), "--input", str(raw),
+                              "--shape", "1,3,32,32"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("defect", list(DEFECTIVE_CONFIGS))
+    def test_infer_defective_config_exits_two(self, defect, checkpoint, tmp_path, capsys):
+        rewrite_config(checkpoint, DEFECTIVE_CONFIGS[defect])
+        raw = tmp_path / "input.bin"
+        raw.write_bytes(Rng(3).normal((1, 3, 32, 32)).astype("<f4").tobytes())
+        code, _, err = run(["infer", "--model", str(checkpoint), "--input", str(raw),
+                            "--shape", "1,3,32,32"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_missing_model_file_exits_two(self, tmp_path, capsys):
         code, _, _ = run(["infer", "--model", str(tmp_path / "nope.rpdn"),

@@ -11,8 +11,6 @@ from rapidnet.model import (
     VARIANTS,
     build_model,
     default_config,
-    iter_params,
-    model_forward,
 )
 from rapidnet.tensor import Rng
 
@@ -114,17 +112,17 @@ class TestForward:
     def test_ti_224(self):
         model = build_model(default_config("ti"))
         x = Rng(0).normal((2, 3, 224, 224))
-        assert model_forward(model, x).shape == (2, 1000)
+        assert model.forward(x).shape == (2, 1000)
 
     def test_fully_convolutional_256(self):
         model = build_model(default_config("ti"))
         x = Rng(0).normal((1, 3, 256, 256))
-        assert model_forward(model, x).shape == (1, 1000)
+        assert model.forward(x).shape == (1, 1000)
 
     def test_indivisible_resolution(self):
         model = build_model(default_config("micro"))
         with pytest.raises(GeometryError):
-            model_forward(model, Rng(0).normal((1, 3, 100, 100)))
+            model.forward(Rng(0).normal((1, 3, 100, 100)))
 
     def test_eval_mode_pure_and_deterministic(self):
         model = build_model(default_config("micro"))
@@ -149,7 +147,7 @@ class TestIterParams:
     def test_name_uniqueness_all_variants(self):
         for variant in VARIANTS:
             model = build_model(default_config(variant))
-            names = [name for name, _ in iter_params(model)]
+            names = [name for name, _ in model.iter_params()]
             assert len(names) == len(set(names)), variant
 
     def test_tensor_count_matches_config_arithmetic(self):
@@ -161,16 +159,16 @@ class TestIterParams:
         n_dcb = sum(s.n_dcb for s in cfg.stages)
         expected = 6 + 9 * n_irb + (14 + 8) * n_dcb + 3 * 3 + 4
         model = build_model(cfg)
-        assert len(iter_params(model)) == expected
+        assert len(model.iter_params()) == expected
 
     def test_numels_sum_to_count_params(self):
         model = build_model(default_config("micro"))
-        total = sum(p.value.size for _, p in iter_params(model))
+        total = sum(p.value.size for _, p in model.iter_params())
         assert total == count_params(model)
 
     def test_documented_naming_scheme(self):
         model = build_model(default_config("ti"))
-        names = {name for name, _ in iter_params(model)}
+        names = {name for name, _ in model.iter_params()}
         assert "stem.conv1.weight" in names
         assert "stage3.dcb0.mldc.branch_a.weight" in names
         assert "stage3.dcb0.mldc.branch_b.weight" in names

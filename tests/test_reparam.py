@@ -3,7 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rapidnet.blocks import MldcBlock, mldc_forward
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rapidnet.analysis import report as analysis_report
+from rapidnet.blocks import MIXER_MODES, MldcBlock
 from rapidnet.errors import FusionError, ShapeError, StateError
 from rapidnet.model import build_model, default_config
 from rapidnet.ops import BatchNorm2d, Conv2dLayer, batchnorm_forward, conv2d
@@ -106,8 +110,8 @@ class TestMldcBlockEquivalence:
             bn.running_var[:] = rng.uniform((4,), 0.5, 1.5, dtype=dtype)
         fused = _fuse_block(block, _Counter())
         x = rng.normal((1, 4, 9, 9), dtype=dtype)
-        want = mldc_forward(x, block, "train")
-        got = mldc_forward(x, fused, "fused")
+        want = block.forward(x)
+        got = fused.forward(x)
         assert np.max(np.abs(got - want)) < tol
 
 
@@ -177,22 +181,29 @@ class TestModelReparam:
         assert report.max_abs_logit_diff >= 0.0
         assert report.max_abs_logit_diff < 1e-4
 
-    def test_ablation_architectures_equivalent(self):
-        # every ablation flag combination must fuse cleanly
-        base = default_config("micro")
-        variants = [
-            replace(base, mixer_mode="sldc"),
-            replace(base, mixer_mode="conv3x3"),
-            replace(base, mixer_mode="pointwise"),
-            replace(base, dilations=(3, 4)),
-            replace(base, mixer_kernel=5),
-            replace(base, use_cpe=False),
-            replace(base, lk_ffn=False),
-            replace(base, gelu_per_branch=True),
-        ]
-        for cfg in variants:
-            model = build_model(cfg, dtype="f64")
-            randomize_bn_stats(model, seed=9)
-            fused, report = reparameterize_model(model)
-            assert report.max_abs_logit_diff < 1e-8, cfg
-            assert count_batchnorms(fused) == 0
+    @settings(max_examples=32, derandomize=True, deadline=None)
+    @given(st.fixed_dictionaries({
+        "mixer_mode": st.sampled_from(MIXER_MODES),
+        "dilations": st.sampled_from([(2, 3), (3, 4)]),
+        "mixer_kernel": st.sampled_from([3, 5]),
+        "use_cpe": st.booleans(),
+        "lk_ffn": st.booleans(),
+        "gelu_per_branch": st.booleans(),
+        "head_hidden": st.sampled_from([None, 16]),
+    }))
+    def test_ablation_architectures_equivalent(self, flags):
+        # every ablation flag combination must fuse cleanly, and fusion and
+        # the cost trace must agree with the stage plans they walk
+        cfg = replace(default_config("micro"), **flags)
+        model = build_model(cfg, dtype="f64")
+        randomize_bn_stats(model, seed=9)
+        fused, report = reparameterize_model(model)
+        assert report.max_abs_logit_diff < 1e-8
+        assert count_batchnorms(fused) == 0
+        assert report.folded_bns == count_batchnorms(model)
+        n_dcb = sum(s.n_dcb for s in cfg.stages)
+        assert report.fused_skips == (n_dcb if cfg.use_cpe else 0)
+        for net in (model, fused):
+            prefixes = [name.rsplit(".", 1)[0] for name, _ in net.iter_params()]
+            layers = [layer.name for layer in analysis_report(cfg, 64, model=net).layers]
+            assert layers == list(dict.fromkeys(prefixes))

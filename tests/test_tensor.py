@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rapidnet.errors import ShapeError
-from rapidnet.tensor import Rng, add, elementwise, mul, randn, scale, tensor_new
+from rapidnet.tensor import Rng, add, randn, tensor_new
 
 
 class TestTensorNew:
@@ -58,10 +58,6 @@ class TestElementwise:
         x = rng.normal((2, 3, 4, 4))
         assert np.array_equal(add(x, np.zeros_like(x)), x)
 
-    def test_multiplicative_identity(self, rng):
-        x = rng.normal((2, 3))
-        assert np.array_equal(scale(x, 1.0), x)
-
     def test_add_values(self):
         out = add(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         assert np.array_equal(out, np.array([4.0, 6.0]))
@@ -69,23 +65,12 @@ class TestElementwise:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             add(np.zeros((2, 2)), np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            mul(np.zeros((2,)), np.zeros((3,)))
-
-    def test_dispatch(self):
-        x = np.array([2.0, 4.0])
-        assert np.array_equal(elementwise("add", x, 1.0), x + 1.0)
-        assert np.array_equal(elementwise("mul", x, x), x * x)
-        assert np.array_equal(elementwise("scale", x, 0.5), x * 0.5)
-        with pytest.raises(ValueError):
-            elementwise("sub", x, x)
 
     def test_inputs_not_mutated(self, rng):
         x = rng.normal((3, 3))
         x0 = x.copy()
         add(x, x)
-        mul(x, 2.0)
-        scale(x, 3.0)
+        add(x, 2.0)
         assert np.array_equal(x, x0)
 
     def test_round_trip_with_zeros(self, rng):

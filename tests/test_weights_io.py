@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import DEFECTIVE_CONFIGS, rewrite_config
 from rapidnet.errors import CorruptFileError, FormatError, IntegrityError, VersionError
 from rapidnet.model import build_model, default_config
 from rapidnet.reparam import count_batchnorms, reparameterize_model
@@ -110,6 +111,13 @@ class TestErrorCases:
         patched = data[:idx] + b"stem.convX.weight" + data[idx + 17:]
         path.write_bytes(patched)
         with pytest.raises(IntegrityError):
+            load(str(path))
+
+    @pytest.mark.parametrize("defect", list(DEFECTIVE_CONFIGS))
+    def test_defective_config(self, defect, tmp_path):
+        path = self.make_checkpoint(tmp_path)
+        rewrite_config(path, DEFECTIVE_CONFIGS[defect])
+        with pytest.raises(CorruptFileError):
             load(str(path))
 
     def test_missing_file(self, tmp_path):
