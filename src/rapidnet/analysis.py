@@ -210,9 +210,13 @@ def composite_rf(model: RapidNetModel) -> int:
 
 def report(cfg: ModelConfig, resolution: int, model: Optional[RapidNetModel] = None
            ) -> AnalysisReport:
-    """Full per-layer cost breakdown of the configured model at a resolution."""
+    """Full per-layer cost breakdown of the configured model at a resolution.
+
+    Only shapes and conv geometry are read, so without `model` the structure
+    is built zero-filled (`build_model(..., init=False)`).
+    """
     if model is None:
-        model = build_model(cfg)
+        model = build_model(cfg, init=False)
     tr = _trace_model(model, resolution)
     total_params = sum(layer.params for layer in tr.layers)
     total_macs = sum(layer.macs for layer in tr.layers)

@@ -46,6 +46,16 @@ def _parse_int_pair(text: str) -> tuple:
     return (int(parts[0]), int(parts[1]))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_shape(text: str) -> tuple:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -93,7 +103,7 @@ def cmd_analyze(args) -> int:
         cfg = model.config
     else:
         cfg = default_config(args.variant)
-        model = build_model(cfg, dtype=args.dtype)
+        model = build_model(cfg, dtype=args.dtype, init=False)
     rep = analysis.report(cfg, args.resolution, model=model)
     if args.json:
         print(rep.to_json(indent=2))
@@ -364,7 +374,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="raw little-endian scalar file")
     p.add_argument("--shape", type=_parse_shape, required=True, metavar="N,C,H,W")
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=_positive_int, default=5)
     _add_common(p)
     p.set_defaults(fn=cmd_infer)
 

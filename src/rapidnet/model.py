@@ -241,11 +241,17 @@ class RapidNetModel:
         return self.stem.backward(g)
 
 
-def build_model(cfg: ModelConfig, dtype="f32") -> RapidNetModel:
-    """Construct and deterministically initialize a model from its config."""
+def build_model(cfg: ModelConfig, dtype="f32", *, init: bool = True) -> RapidNetModel:
+    """Construct and deterministically initialize a model from its config.
+
+    With `init=False` every conv and linear tensor is zero-filled instead of
+    drawn from the seeded He/normal init: the structure for callers that
+    read only shapes or overwrite every tensor (`weights_io.load`).  Zero
+    pages stay untouched until something writes them.
+    """
     cfg.validate()
     dt = resolve_dtype(dtype)
-    rng = Rng(cfg.seed)
+    rng = Rng(cfg.seed) if init else None
 
     stem = StemBlock(3, cfg.stages[0].channels, rng=rng, dtype=dt)
     stages: List[List[object]] = []

@@ -8,14 +8,16 @@ Two rewrites, both function-preserving:
   bias, leaving a BN-free graph.
 
 Outer block residuals wrap non-linear paths and are kept as explicit adds.
-`reparameterize_model` returns a new model; the input model is not touched.
+`fuse_model` is the rewrite alone; `reparameterize_model` adds a seeded
+two-forward equivalence check.  Both return a new model and leave the input
+model untouched.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +71,8 @@ def fold_bn_into_conv(conv: Conv2dLayer, bn: BatchNorm2d) -> Conv2dLayer:
     w = conv.weight.value * scale[:, None, None, None]
     b0 = conv.bias.value if conv.bias is not None else 0.0
     b = bn.beta.value + (b0 - bn.running_mean) * scale
-    return Conv2dLayer(w.astype(conv.weight.value.dtype), b.astype(conv.weight.value.dtype),
+    dt = conv.weight.value.dtype
+    return Conv2dLayer(w.astype(dt, copy=False), b.astype(dt, copy=False),
                        stride=conv.stride, padding=conv.padding,
                        dilation=conv.dilation, groups=conv.groups)
 
@@ -114,6 +117,25 @@ def _fuse_block(block, counter: _Counter):
     return out
 
 
+def fuse_model(model: RapidNetModel) -> Tuple[RapidNetModel, int, int]:
+    """Fuse CPE skips and fold all BN layers; returns (fused_model, skips, bns).
+
+    The structural rewrite alone, with no equivalence check: every conv and
+    linear layer keeps its name, shape and geometry.  The input model must
+    be in eval mode and is not mutated.
+    """
+    if model.mode != "eval":
+        raise StateError("fusion requires an eval-mode model")
+    counter = _Counter()
+    stem = _fuse_block(model.stem, counter)
+    stages: List[list] = [[_fuse_block(b, counter) for b in stage] for stage in model.stages]
+    downs = [_fuse_block(d, counter) for d in model.downsamples]
+    head = _fuse_block(model.head, counter)
+    fused = RapidNetModel(model.config, stem, stages, downs, head,
+                          dtype=model.dtype, fused=True)
+    return fused, counter.skips, counter.bns
+
+
 def reparameterize_model(model: RapidNetModel, *,
                          check_resolution: int = 64) -> tuple:
     """Fuse CPE skips and fold all BN layers; returns (fused_model, report).
@@ -123,21 +145,11 @@ def reparameterize_model(model: RapidNetModel, *,
     `check_resolution`.  Reparameterizing an already-fused model is a no-op
     (zero counts).  The input model must be in eval mode and is not mutated.
     """
-    if model.mode != "eval":
-        raise StateError("reparameterize_model requires an eval-mode model")
-    counter = _Counter()
-    stem = _fuse_block(model.stem, counter)
-    stages: List[list] = [[_fuse_block(b, counter) for b in stage] for stage in model.stages]
-    downs = [_fuse_block(d, counter) for d in model.downsamples]
-    head = _fuse_block(model.head, counter)
-    fused = RapidNetModel(model.config, stem, stages, downs, head,
-                          dtype=model.dtype, fused=True)
-
+    fused, skips, bns = fuse_model(model)
     rng = Rng(model.config.seed ^ 0x5EED)
     x = rng.normal((1, 3, check_resolution, check_resolution), dtype=model.dtype)
     diff = float(np.max(np.abs(model.forward(x) - fused.forward(x))))
-    report = FusionReport(fused_skips=counter.skips, folded_bns=counter.bns,
-                          max_abs_logit_diff=diff)
+    report = FusionReport(fused_skips=skips, folded_bns=bns, max_abs_logit_diff=diff)
     return fused, report
 
 

@@ -14,13 +14,18 @@ File layout (all integers little-endian):
 Entries carry every learnable parameter and every BN running-statistics
 buffer, named exactly as `iter_params` / `iter_buffers` name them, so a
 round trip reproduces the model bitwise.  The config blob makes the file
-self-describing: `load` rebuilds the structure before filling it.
+self-describing: `load` builds a zero-filled structure from it (no random
+init), checks every conv and linear weight's name and shape against the
+entries, fuses the structure when the file is fused (the rewrite alone: the
+equivalence forward lives in `reparam.reparameterize_model`, which export
+and verify run), checks every name and shape, and only then fills it.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import os
 import struct
 from typing import BinaryIO, Dict, Tuple
 
@@ -28,6 +33,7 @@ import numpy as np
 
 from .errors import CorruptFileError, FormatError, IntegrityError, VersionError
 from .model import ModelConfig, RapidNetModel, build_model
+from .reparam import fuse_model
 from .tensor import resolve_dtype
 
 MAGIC = b"RPDN"
@@ -43,7 +49,7 @@ def _write_entry(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
     fh.write(raw)
     fh.write(struct.pack("<BB", _DTYPE_CODE[arr.dtype], arr.ndim))
     fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
@@ -53,7 +59,14 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
     return data
 
 
-def _read_entry(fh: BinaryIO) -> Tuple[str, np.ndarray]:
+def _read_declared(fh: BinaryIO, n: int, end: int) -> bytes:
+    """`_read_exact` of a length the file declares: refuse one past its `end`."""
+    if n > end - fh.tell():
+        raise CorruptFileError(f"file truncated: wanted {n} bytes, {end - fh.tell()} remain")
+    return _read_exact(fh, n)
+
+
+def _read_entry(fh: BinaryIO, end: int) -> Tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
     name = _read_exact(fh, name_len).decode("utf-8")
     code, ndim = struct.unpack("<BB", _read_exact(fh, 2))
@@ -61,14 +74,21 @@ def _read_entry(fh: BinaryIO) -> Tuple[str, np.ndarray]:
         raise CorruptFileError(f"entry {name!r} has unknown dtype code {code}")
     dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
     dtype = _CODE_DTYPE[code]
-    count = int(np.prod(dims)) if ndim else 1
-    payload = _read_exact(fh, count * dtype.itemsize)
-    arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    return name, arr.astype(dtype.newbyteorder("="))
+    count = math.prod(dims)  # Python ints: a crafted shape cannot wrap
+    payload = _read_declared(fh, count * dtype.itemsize, end)
+    return name, np.frombuffer(payload, dtype=dtype).reshape(dims)
 
 
 def save(model: RapidNetModel, path: str) -> None:
-    """Write the model's config, parameters, and BN buffers to `path`."""
+    """Write the model's config, parameters, and BN buffers to `path`.
+
+    Entries go straight to the file.  An existing file is overwritten in
+    place and then cut to length, never truncated to zero first: on ext4
+    (auto_da_alloc) a file truncated to zero and rewritten is written out to
+    disk when it is closed, and the next save's truncate waits for that
+    write, so repeated exports to one path ran at disk speed.  The magic goes
+    in last, so a save cut short leaves a file `load` rejects.
+    """
     blob = dict(model.config.to_dict())
     blob["fused"] = model.fused
     blob["dtype"] = "f64" if model.dtype == np.float64 else "f32"
@@ -77,21 +97,24 @@ def save(model: RapidNetModel, path: str) -> None:
     entries = [(name, p.value) for name, p in model.iter_params()]
     entries += model.iter_buffers()
 
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<H", VERSION))
-    buf.write(struct.pack("<I", len(cfg_bytes)))
-    buf.write(cfg_bytes)
-    buf.write(struct.pack("<I", len(entries)))
-    for name, arr in entries:
-        _write_entry(buf, name, arr)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(bytes(len(MAGIC)))
+        fh.write(struct.pack("<H", VERSION))
+        fh.write(struct.pack("<I", len(cfg_bytes)))
+        fh.write(cfg_bytes)
+        fh.write(struct.pack("<I", len(entries)))
+        for name, arr in entries:
+            _write_entry(fh, name, arr)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(MAGIC)
 
 
 def load(path: str) -> RapidNetModel:
     """Rebuild a model from a checkpoint; every tensor is restored bitwise."""
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -100,7 +123,7 @@ def load(path: str) -> RapidNetModel:
             raise VersionError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
         try:
-            blob = json.loads(_read_exact(fh, cfg_len).decode("utf-8"))
+            blob = json.loads(_read_declared(fh, cfg_len, end).decode("utf-8"))
             cfg = ModelConfig.from_dict(blob)
             cfg.validate()
             dtype = resolve_dtype(blob.get("dtype", "f32"))
@@ -109,16 +132,28 @@ def load(path: str) -> RapidNetModel:
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
         stored: Dict[str, np.ndarray] = {}
         for _ in range(count):
-            name, arr = _read_entry(fh)
+            name, arr = _read_entry(fh, end)
             if name in stored:
                 raise IntegrityError(f"duplicate tensor entry {name!r}")
             stored[name] = arr
 
-    model = build_model(cfg, dtype=dtype)
+    try:
+        model = build_model(cfg, dtype=dtype, init=False)
+    except (MemoryError, ValueError) as exc:
+        # numpy raises MemoryError past what the host can give, ValueError
+        # past what an array can index
+        raise CorruptFileError(f"config declares a model too large to allocate: {exc}") from exc
+    # Fusion keeps every conv and linear weight, so this check bounds what a
+    # crafted config makes the rewrite below write to.
+    for name, p in model.iter_params():
+        if name.endswith(".weight"):
+            arr = stored.get(name)
+            if arr is None or arr.shape != p.shape:
+                found = "missing" if arr is None else f"shape {arr.shape}"
+                raise IntegrityError(f"weight {name!r} is {found}, the "
+                                     f"{cfg.variant!r} config declares {p.shape}")
     if blob.get("fused", False):
-        from .reparam import reparameterize_model
-
-        model, _ = reparameterize_model(model)
+        model, _, _ = fuse_model(model)
 
     expected = {name: p.value for name, p in model.iter_params()}
     buffers = dict(model.iter_buffers())
@@ -132,7 +167,7 @@ def load(path: str) -> RapidNetModel:
         if target.shape != arr.shape:
             raise IntegrityError(f"entry {name!r} has shape {arr.shape}, "
                                  f"model expects {target.shape}")
-        target[...] = arr.astype(target.dtype, copy=False)
+        target[...] = arr
     missing = list(expected) + list(buffers)
     if missing:
         raise IntegrityError(f"checkpoint is missing tensors: {missing[:5]}"

@@ -3,7 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from rapidnet.blocks import MIXER_MODES
 from rapidnet.tensor import Rng
 
 
@@ -39,12 +41,40 @@ DEFECTIVE_CONFIGS = {
 }
 
 
+def widen_stage4(channels: int):
+    """Config mutation for `rewrite_config`: declare `channels` in stage 4."""
+    return lambda b: {**b, "stages": b["stages"][:3] + [[channels] + b["stages"][3][1:]]}
+
+
 def rewrite_config(path, mutate) -> None:
     """Replace a checkpoint's JSON config blob with mutate(blob), keeping the entries."""
     data = path.read_bytes()
     (n,) = struct.unpack("<I", data[6:10])
     blob = json.dumps(mutate(json.loads(data[10:10 + n]))).encode("utf-8")
     path.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob + data[10 + n:])
+
+
+# The seven ablation fields of ModelConfig, drawn jointly.
+ABLATION_FLAGS = st.fixed_dictionaries({
+    "mixer_mode": st.sampled_from(MIXER_MODES),
+    "dilations": st.sampled_from([(2, 3), (3, 4)]),
+    "mixer_kernel": st.sampled_from([3, 5]),
+    "use_cpe": st.booleans(),
+    "lk_ffn": st.booleans(),
+    "gelu_per_branch": st.booleans(),
+    "head_hidden": st.sampled_from([None, 16]),
+})
+
+
+def randomize_bn_stats(model, seed=0):
+    """Give every BN layer non-trivial statistics and affine parameters."""
+    rng = Rng(seed)
+    for bn in model.iter_batchnorms():
+        c = bn.channels
+        bn.running_mean[:] = rng.normal((c,), std=0.2, dtype=bn.running_mean.dtype)
+        bn.running_var[:] = rng.uniform((c,), 0.5, 1.5, dtype=bn.running_var.dtype)
+        bn.gamma.value[:] = rng.uniform((c,), 0.8, 1.2, dtype=bn.gamma.value.dtype)
+        bn.beta.value[:] = rng.normal((c,), std=0.1, dtype=bn.beta.value.dtype)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DEFECTIVE_CONFIGS, rewrite_config
+from conftest import DEFECTIVE_CONFIGS, rewrite_config, widen_stage4
 from rapidnet.cli import main
 from rapidnet.reparam import count_batchnorms
 from rapidnet.tensor import Rng
@@ -199,6 +199,28 @@ class TestInferExport:
                             "--shape", "1,3,32,32"], capsys)
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("topk", ["0", "-2", "two"])
+    def test_infer_bad_topk_exits_one(self, topk, checkpoint, tmp_path, capsys):
+        raw = tmp_path / "input.bin"
+        raw.write_bytes(Rng(3).normal((1, 3, 32, 32)).astype("<f4").tobytes())
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--model", str(checkpoint), "--input", str(raw),
+                  "--shape", "1,3,32,32", "--topk", topk])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --topk" in err and "Traceback" not in err
+
+    def test_infer_unallocatable_config_exits_two(self, checkpoint, tmp_path, capsys):
+        rewrite_config(checkpoint, widen_stage4(2 ** 24))
+        raw = tmp_path / "input.bin"
+        raw.write_bytes(Rng(3).normal((1, 3, 32, 32)).astype("<f4").tobytes())
+        code, out, err = run(["infer", "--model", str(checkpoint), "--input", str(raw),
+                              "--shape", "1,3,32,32"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_missing_model_file_exits_two(self, tmp_path, capsys):
         code, _, _ = run(["infer", "--model", str(tmp_path / "nope.rpdn"),

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import ABLATION_FLAGS, randomize_bn_stats
 from rapidnet.analysis import report as analysis_report
-from rapidnet.blocks import MIXER_MODES, MldcBlock
+from rapidnet.blocks import MldcBlock
 from rapidnet.errors import FusionError, ShapeError, StateError
 from rapidnet.model import build_model, default_config
 from rapidnet.ops import BatchNorm2d, Conv2dLayer, batchnorm_forward, conv2d
@@ -21,17 +21,6 @@ from rapidnet.reparam import (
     reparameterize_model,
 )
 from rapidnet.tensor import Rng
-
-
-def randomize_bn_stats(model, seed=0):
-    """Give every BN layer non-trivial statistics and affine parameters."""
-    rng = Rng(seed)
-    for bn in model.iter_batchnorms():
-        c = bn.channels
-        bn.running_mean[:] = rng.normal((c,), std=0.2, dtype=bn.running_mean.dtype)
-        bn.running_var[:] = rng.uniform((c,), 0.5, 1.5, dtype=bn.running_var.dtype)
-        bn.gamma.value[:] = rng.uniform((c,), 0.8, 1.2, dtype=bn.gamma.value.dtype)
-        bn.beta.value[:] = rng.normal((c,), std=0.1, dtype=bn.beta.value.dtype)
 
 
 class TestSkipFusion:
@@ -182,15 +171,7 @@ class TestModelReparam:
         assert report.max_abs_logit_diff < 1e-4
 
     @settings(max_examples=32, derandomize=True, deadline=None)
-    @given(st.fixed_dictionaries({
-        "mixer_mode": st.sampled_from(MIXER_MODES),
-        "dilations": st.sampled_from([(2, 3), (3, 4)]),
-        "mixer_kernel": st.sampled_from([3, 5]),
-        "use_cpe": st.booleans(),
-        "lk_ffn": st.booleans(),
-        "gelu_per_branch": st.booleans(),
-        "head_hidden": st.sampled_from([None, 16]),
-    }))
+    @given(ABLATION_FLAGS)
     def test_ablation_architectures_equivalent(self, flags):
         # every ablation flag combination must fuse cleanly, and fusion and
         # the cost trace must agree with the stage plans they walk

@@ -1,12 +1,26 @@
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DEFECTIVE_CONFIGS, rewrite_config
+import rapidnet
+from conftest import (
+    ABLATION_FLAGS,
+    DEFECTIVE_CONFIGS,
+    randomize_bn_stats,
+    rewrite_config,
+    widen_stage4,
+)
+from rapidnet import reparam, weights_io
 from rapidnet.errors import CorruptFileError, FormatError, IntegrityError, VersionError
-from rapidnet.model import build_model, default_config
+from rapidnet.model import RapidNetModel, build_model, default_config
+from rapidnet.ops import Conv2dLayer
 from rapidnet.reparam import count_batchnorms, reparameterize_model
 from rapidnet.tensor import Rng
 from rapidnet.weights_io import MAGIC, load, save
@@ -58,6 +72,32 @@ class TestRoundTrip:
         x = Rng(9).normal((1, 3, 32, 32))
         assert np.array_equal(fused.forward(x), loaded.forward(x))
 
+    def test_overwrite_cuts_a_longer_file_to_length(self, tmp_path):
+        model = build_model(default_config("micro"))
+        fresh, stale = tmp_path / "fresh.rpdn", tmp_path / "stale.rpdn"
+        save(model, str(fresh))
+        stale.write_bytes(b"x" * (2 * fresh.stat().st_size))
+        save(model, str(stale))
+        assert stale.read_bytes() == fresh.read_bytes()
+
+    def test_save_cut_short_is_rejected(self, tmp_path, monkeypatch):
+        model = build_model(default_config("micro"))
+        path = tmp_path / "model.rpdn"
+        save(model, str(path))
+        write_entry, written = weights_io._write_entry, []
+
+        def fail_midway(fh, name, arr):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(name)
+            write_entry(fh, name, arr)
+
+        monkeypatch.setattr(weights_io, "_write_entry", fail_midway)
+        with pytest.raises(OSError):
+            save(model, str(path))
+        with pytest.raises(FormatError):
+            load(str(path))
+
     def test_loaded_model_runs(self, tmp_path):
         model = build_model(default_config("micro"))
         path = tmp_path / "model.rpdn"
@@ -65,6 +105,106 @@ class TestRoundTrip:
         loaded = load(str(path))
         x = Rng(1).normal((1, 3, 32, 32))
         assert np.array_equal(model.forward(x), loaded.forward(x))
+
+
+def conv_geometry(model):
+    return [(bname, lname, layer.stride, layer.padding, layer.dilation, layer.groups,
+             layer.bias is None)
+            for bname, blk in model.named_blocks()
+            for lname, layer in blk.named_layers() if isinstance(layer, Conv2dLayer)]
+
+
+class TestFastLoad:
+    """`load` builds zero-filled, fuses without a check forward, then fills."""
+
+    @settings(max_examples=24, derandomize=True, deadline=None)
+    @given(flags=ABLATION_FLAGS, dtype=st.sampled_from(["f32", "f64"]), fused=st.booleans())
+    def test_round_trip_matches_source(self, tmp_path_factory, flags, dtype, fused):
+        model = build_model(replace(default_config("micro"), seed=3, **flags), dtype=dtype)
+        randomize_bn_stats(model, seed=4)
+        if fused:
+            model, _ = reparameterize_model(model)
+        path = tmp_path_factory.mktemp("ckpt") / "m.rpdn"
+        save(model, str(path))
+        loaded = load(str(path))
+        assert loaded.fused == fused
+        assert loaded.dtype == model.dtype
+        assert_models_equal(model, loaded)
+        assert conv_geometry(loaded) == conv_geometry(model)
+        tensors = [p.value for _, p in loaded.iter_params()]
+        tensors += [buf for _, buf in loaded.iter_buffers()]
+        assert all(t.flags.writeable and t.flags.owndata for t in tensors)
+        x = Rng(8).normal((2, 3, 32, 32), dtype=model.dtype)
+        assert model.forward(x).tobytes() == loaded.forward(x).tobytes()
+
+    def test_fused_load_runs_no_forward_and_no_random_init(self, tmp_path, monkeypatch):
+        fused, _ = reparameterize_model(build_model(default_config("micro")))
+        path = tmp_path / "fused.rpdn"
+        save(fused, str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load must not call this")
+
+        monkeypatch.setattr(RapidNetModel, "forward", refuse)
+        monkeypatch.setattr(reparam, "reparameterize_model", refuse)
+        monkeypatch.setattr(Rng, "normal", refuse)
+        loaded = load(str(path))
+        assert loaded.fused
+        assert_models_equal(fused, loaded)
+
+
+def fused_micro_with_stage4_channels(tmp_path, channels):
+    fused, _ = reparameterize_model(build_model(default_config("micro")))
+    path = tmp_path / "fused.rpdn"
+    save(fused, str(path))
+    rewrite_config(path, widen_stage4(channels))
+    return path
+
+
+# Load a checkpoint in a fresh interpreter; print the error type and the
+# peak-RSS growth (KiB) across the load.
+_RSS_PROBE = """
+import resource, sys
+from rapidnet.errors import CheckpointError
+from rapidnet.weights_io import load
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    load(sys.argv[1])
+    kind = "loaded"
+except CheckpointError as exc:
+    kind = type(exc).__name__
+print(kind, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+class TestCraftedConfig:
+    """A small file whose config declares a huge model must not allocate it."""
+
+    def test_widened_config_fails_before_touching_memory(self, tmp_path):
+        path = fused_micro_with_stage4_channels(tmp_path, 2048)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rapidnet.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _RSS_PROBE, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        kind, grew_kib = out.stdout.split()
+        assert kind == "IntegrityError"
+        assert int(grew_kib) < 100 * 1024
+
+    @pytest.mark.parametrize("channels", [2 ** 24, 2 ** 62])
+    def test_unallocatable_config_is_corrupt(self, tmp_path, channels):
+        # 2**24 asks numpy for more memory than a host has (MemoryError);
+        # 2**62 for more elements than an array can index (ValueError)
+        path = fused_micro_with_stage4_channels(tmp_path, channels)
+        with pytest.raises(CorruptFileError):
+            load(str(path))
+
+    def test_misshapen_weight_is_integrity_error(self, tmp_path):
+        model = build_model(default_config("micro"))
+        path = tmp_path / "m.rpdn"
+        save(model, str(path))
+        rewrite_config(path, lambda b: {**b, "num_classes": 9})
+        with pytest.raises(IntegrityError, match="head.fc.weight"):
+            load(str(path))
 
 
 class TestErrorCases:
@@ -111,6 +251,16 @@ class TestErrorCases:
         patched = data[:idx] + b"stem.convX.weight" + data[idx + 17:]
         path.write_bytes(patched)
         with pytest.raises(IntegrityError):
+            load(str(path))
+
+    @pytest.mark.parametrize("dims", [(65535, 65535, 3, 3), (2 ** 32 - 1,) * 4])
+    def test_entry_declaring_more_than_the_file_holds(self, dims, tmp_path):
+        path = self.make_checkpoint(tmp_path)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"stem.conv1.weight") + len(b"stem.conv1.weight") + 2  # past dtype, ndim
+        data[at:at + 16] = struct.pack("<4I", *dims)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptFileError):
             load(str(path))
 
     @pytest.mark.parametrize("defect", list(DEFECTIVE_CONFIGS))
