@@ -183,10 +183,15 @@ def cmd_verify(args) -> int:
     if args.inject_fault:
         fused.stem.conv1.weight.value[0, 0, 0, 0] += 1.0
     x = rng.normal((1, 3, resolution, resolution), dtype=dt)
-    diff = float(np.max(np.abs(model.forward(x) - fused.forward(x))))
+    ref, out = model.forward(x), fused.forward(x)
+    diff = float(np.max(np.abs(ref - out)))
     checks.append({"label": f"reparam equivalence ({args.variant}, {args.dtype} "
                             f"@ {resolution}): max-abs logit diff",
                    "value": diff, "tol": tol, "pass": bool(diff < tol)})
+    # a NaN diff already fails the row above; this one names the cause
+    bad = int(np.count_nonzero(~np.isfinite(ref)) + np.count_nonzero(~np.isfinite(out)))
+    checks.append({"label": "fused logits finite: non-finite logits (unfused + fused)",
+                   "value": bad, "tol": 0, "pass": bad == 0})
 
     oracle_rng = Rng(args.seed ^ 0xC0FFEE)
     worst = 0.0

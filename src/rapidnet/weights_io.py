@@ -41,6 +41,7 @@ VERSION = 1
 
 _DTYPE_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_MAX_NDIM = 4  # conv weights; every other tensor has fewer
 
 
 def _write_entry(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
@@ -68,10 +69,16 @@ def _read_declared(fh: BinaryIO, n: int, end: int) -> bytes:
 
 def _read_entry(fh: BinaryIO, end: int) -> Tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-    name = _read_exact(fh, name_len).decode("utf-8")
+    try:
+        name = _read_exact(fh, name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"entry name is not UTF-8: {exc}") from exc
     code, ndim = struct.unpack("<BB", _read_exact(fh, 2))
     if code not in _CODE_DTYPE:
         raise CorruptFileError(f"entry {name!r} has unknown dtype code {code}")
+    if ndim > _MAX_NDIM:
+        raise CorruptFileError(f"entry {name!r} declares {ndim} dimensions, "
+                               f"at most {_MAX_NDIM} exist")
     dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
     dtype = _CODE_DTYPE[code]
     count = math.prod(dims)  # Python ints: a crafted shape cannot wrap

@@ -41,6 +41,22 @@ DEFECTIVE_CONFIGS = {
 }
 
 
+# Entry-header defects a checkpoint can carry, as (offset from the start of the
+# `stem.conv1.weight` name, byte written there): each must load as a CorruptFileError.
+DEFECTIVE_ENTRIES = {
+    "name_not_utf8": (0, 0xFF),
+    "ndim_132": (len("stem.conv1.weight") + 1, 132),
+}
+
+
+def damage_entry(path, defect: str) -> None:
+    """Write one DEFECTIVE_ENTRIES defect into a checkpoint's first entry header."""
+    offset, value = DEFECTIVE_ENTRIES[defect]
+    data = bytearray(path.read_bytes())
+    data[data.index(b"stem.conv1.weight") + offset] = value
+    path.write_bytes(bytes(data))
+
+
 def widen_stage4(channels: int):
     """Config mutation for `rewrite_config`: declare `channels` in stage 4."""
     return lambda b: {**b, "stages": b["stages"][:3] + [[channels] + b["stages"][3][1:]]}

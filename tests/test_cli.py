@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DEFECTIVE_CONFIGS, rewrite_config, widen_stage4
+from conftest import (
+    DEFECTIVE_CONFIGS,
+    DEFECTIVE_ENTRIES,
+    damage_entry,
+    rewrite_config,
+    widen_stage4,
+)
+from rapidnet import reparam
 from rapidnet.cli import main
 from rapidnet.reparam import count_batchnorms
 from rapidnet.tensor import Rng
@@ -92,6 +99,20 @@ class TestVerify:
         data = json.loads(out)
         assert data["passed"] is True
         assert all(c["pass"] for c in data["checks"])
+
+    def test_non_finite_logits_fail_their_own_row(self, capsys, monkeypatch):
+        real = reparam.reparameterize_model
+
+        def nan_fused(model):
+            fused, report = real(model)
+            fused.forward = lambda x: np.full((x.shape[0], fused.config.num_classes), np.nan)
+            return fused, report
+
+        monkeypatch.setattr(reparam, "reparameterize_model", nan_fused)
+        code, out, _ = run(["verify", "--variant", "micro", "--dtype", "f64"], capsys)
+        assert code == 2
+        row = [line for line in out.splitlines() if "fused logits finite" in line]
+        assert len(row) == 1 and row[0].startswith("[FAIL]")
 
 
 class TestBench:
@@ -199,6 +220,17 @@ class TestInferExport:
                             "--shape", "1,3,32,32"], capsys)
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("defect", list(DEFECTIVE_ENTRIES))
+    def test_infer_defective_entry_exits_two(self, defect, checkpoint, tmp_path, capsys):
+        damage_entry(checkpoint, defect)
+        raw = tmp_path / "input.bin"
+        raw.write_bytes(Rng(3).normal((1, 3, 32, 32)).astype("<f4").tobytes())
+        code, out, err = run(["infer", "--model", str(checkpoint), "--input", str(raw),
+                              "--shape", "1,3,32,32"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("topk", ["0", "-2", "two"])
     def test_infer_bad_topk_exits_one(self, topk, checkpoint, tmp_path, capsys):

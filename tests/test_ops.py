@@ -3,8 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from conftest import rel_err
+from rapidnet import ops
 from rapidnet.errors import GeometryError, LabelError, ShapeError, StateError
 from rapidnet.ops import (
     BatchNorm2d,
@@ -137,6 +141,26 @@ class TestConvOracle:
             assert rel_err(conv2d(x, conv), conv2d_naive(x, conv)) < 1e-5, (
                 f"trial {trial}: k={k} d={d} s={s} p={p} c={c} g={groups} h={h}")
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(k=st.sampled_from([1, 3, 5, 7]), d=st.integers(1, 3), s=st.integers(1, 2),
+           p=st.integers(0, 3), c=st.integers(1, 3), c_out=st.integers(1, 3),
+           depthwise=st.booleans(), bias=st.booleans(), n=st.integers(1, 2),
+           extra_h=st.integers(0, 3), extra_w=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+    def test_property_matches_naive(self, k, d, s, p, c, c_out, depthwise, bias, n,
+                                    extra_h, extra_w, seed):
+        # smallest input that leaves a valid output, plus a few rows/cols
+        floor = max(1, (k - 1) * d + 1 - 2 * p)
+        h, w = floor + extra_h, floor + extra_w
+        groups, c_out = (c, c) if depthwise else (1, c_out)
+        rng = Rng(seed)
+        conv = make_conv(c, c_out, k, stride=s, padding=p, dilation=d, groups=groups,
+                         bias=bias, rng=rng, dtype=np.float64)
+        if bias:
+            conv.bias.value[:] = rng.normal((c_out,), dtype=np.float64)
+        x = rng.normal((n, c, h, w), dtype=np.float64)
+        assert x.dtype == conv.weight.value.dtype == np.float64
+        assert rel_err(conv2d(x, conv), conv2d_naive(x, conv)) < 1e-5
+
 
 class TestBatchNorm:
     def test_eval_identity_stats(self, rng):
@@ -231,6 +255,87 @@ class TestGelu:
     def test_preserves_dtype(self):
         assert gelu(np.ones(3, dtype=np.float32)).dtype == np.float32
         assert gelu(np.ones(3, dtype=np.float64)).dtype == np.float64
+        for dt in (np.float32, np.float64):
+            assert gelu_backward(np.ones(3, dtype=dt), np.ones(3, dtype=dt)).dtype == dt
+
+
+def scipy_gelu(x):
+    """GeLU and its derivative as written with scipy's erf for every dtype."""
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * x.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
+    return x * cdf, cdf + x * pdf
+
+
+def same_bits(a, b):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    return (a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 4.0, -4.0, 5.657, -5.657, 40.0, -40.0]
+
+
+class TestGeluF32:
+    """f32 GeLU uses a rational erf; f64 keeps scipy's erf."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        x = np.linspace(-30.0, 30.0, 1_200_001, dtype=np.float32)
+        return np.concatenate([x, np.array([0.0, -0.0], dtype=np.float32)])
+
+    def test_erf_within_bound_of_f64_erf(self, grid):
+        t = grid.copy()
+        ops._erf_f32(t, np.empty_like(t), np.empty_like(t))
+        assert np.max(np.abs(t - erf(grid.astype(np.float64)))) <= 5e-7
+
+    def test_gelu_and_derivative_within_bound_of_f64(self, grid):
+        x64 = grid.astype(np.float64)
+        scale = np.maximum(1.0, np.abs(x64))
+        got = gelu(grid)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - gelu(x64)) / scale) <= 1e-6
+        ones = np.ones_like(grid)
+        got = gelu_backward(grid, ones)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - gelu_backward(x64, ones.astype(np.float64))) / scale) <= 1e-6
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_special_values_as_with_scipy_erf(self, dt):
+        x = np.array(SPECIAL, dtype=dt)
+        with np.errstate(invalid="ignore"):
+            want_fwd, want_slope = scipy_gelu(x)
+            got_fwd = gelu(x)
+            got_slope = gelu_backward(x, np.ones_like(x))
+        assert np.array_equal(np.isnan(got_fwd), np.isnan(want_fwd))
+        assert np.array_equal(np.isnan(got_slope), np.isnan(want_slope))
+        assert got_fwd[1] == np.inf and np.isnan(got_fwd[0]) and np.isnan(got_fwd[2])
+        assert same_bits(got_fwd[3:5], want_fwd[3:5])
+
+    def test_f64_bitwise_unchanged(self, rng):
+        x = np.concatenate([rng.normal((4096,), std=4.0, dtype=np.float64),
+                            np.array(SPECIAL)])
+        g = rng.normal(x.shape, dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            want_fwd, want_slope = scipy_gelu(x)
+            assert same_bits(gelu(x), want_fwd)
+            assert same_bits(gelu_backward(x, g), g * want_slope)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_inputs_not_mutated(self, rng, dt):
+        x = rng.normal((2, 3, 5, 7), std=3.0, dtype=dt)
+        g = rng.normal(x.shape, dtype=dt)
+        x0, g0 = x.copy(), g.copy()
+        gelu(x)
+        gelu_backward(x, g)
+        assert np.array_equal(x, x0) and np.array_equal(g, g0)
+
+    def test_layout_and_block_edges_do_not_matter(self, rng):
+        # a transposed view, and a size that is not a multiple of the block
+        x = rng.normal((3, ops._ERF_F32_BLOCK // 2 + 5), std=3.0).T
+        assert np.array_equal(gelu(x), gelu(np.ascontiguousarray(x)))
+        flat = np.ascontiguousarray(x).reshape(-1)
+        parts = [gelu(flat[i:i + 1000]) for i in range(0, flat.size, 1000)]
+        assert np.array_equal(gelu(flat), np.concatenate(parts))
 
 
 class TestPooling:

@@ -13,13 +13,21 @@ import rapidnet
 from conftest import (
     ABLATION_FLAGS,
     DEFECTIVE_CONFIGS,
+    DEFECTIVE_ENTRIES,
+    damage_entry,
     randomize_bn_stats,
     rewrite_config,
     widen_stage4,
 )
 from rapidnet import reparam, weights_io
-from rapidnet.errors import CorruptFileError, FormatError, IntegrityError, VersionError
-from rapidnet.model import RapidNetModel, build_model, default_config
+from rapidnet.errors import (
+    CheckpointError,
+    CorruptFileError,
+    FormatError,
+    IntegrityError,
+    VersionError,
+)
+from rapidnet.model import RapidNetModel, StageConfig, build_model, default_config
 from rapidnet.ops import Conv2dLayer
 from rapidnet.reparam import count_batchnorms, reparameterize_model
 from rapidnet.tensor import Rng
@@ -270,6 +278,82 @@ class TestErrorCases:
         with pytest.raises(CorruptFileError):
             load(str(path))
 
+    @pytest.mark.parametrize("defect", list(DEFECTIVE_ENTRIES))
+    def test_defective_entry_header(self, defect, tmp_path):
+        path = self.make_checkpoint(tmp_path)
+        damage_entry(path, defect)
+        with pytest.raises(CorruptFileError):
+            load(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load(str(tmp_path / "nope.rpdn"))
+
+
+def header_byte_ranges(data: bytes):
+    """(start, stop) spans of every non-payload byte of a checkpoint, walked
+    independently of `weights_io`: magic, version, config length and blob,
+    entry count, then each entry's name length, name, dtype, ndim and dims."""
+    (cfg_len,) = struct.unpack_from("<I", data, 6)
+    spans = [(0, 14 + cfg_len)]
+    at = 14 + cfg_len
+    (count,) = struct.unpack_from("<I", data, at - 4)
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", data, at)
+        code, ndim = data[at + 2 + name_len], data[at + 3 + name_len]
+        dims = struct.unpack_from(f"<{ndim}I", data, at + 4 + name_len)
+        stop = at + 4 + name_len + 4 * ndim
+        spans.append((at, stop))
+        at = stop + int(np.prod(dims)) * (4 if code == 0 else 8)
+    assert at == len(data)
+    return spans
+
+
+class TestFuzz:
+    """Every damaged checkpoint loads or raises a CheckpointError subclass."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        # every block kind (stem, downsample, both DCB halves, head) at width 2
+        stages = tuple(StageConfig(2, 0, n_dcb) for n_dcb in (0, 0, 1, 0))
+        model = build_model(replace(default_config("micro"), stages=stages, num_classes=2))
+        path = tmp_path / "tiny.rpdn"
+        save(model, str(path))
+        return path, path.read_bytes()
+
+    @staticmethod
+    def load_each(path, variants):
+        """Labels of the variants that loaded, and of those that raised
+        anything other than a CheckpointError."""
+        loaded, leaked = [], []
+        for label, data in variants:
+            path.write_bytes(data)
+            try:
+                load(str(path))
+                loaded.append(label)
+            except CheckpointError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the leak is the finding
+                leaked.append(f"{label}: {type(exc).__name__}: {exc}")
+        return loaded, leaked
+
+    def test_every_truncation_raises(self, checkpoint):
+        path, data = checkpoint
+        loaded, leaked = self.load_each(
+            path, ((f"cut {n}", data[:n]) for n in range(0, len(data), 7)))
+        assert not loaded, f"truncated files loaded: {loaded[:5]}"
+        assert not leaked, f"{len(leaked)} leaked: {leaked[:5]}"
+
+    def test_every_header_bit_flip_loads_or_raises(self, checkpoint):
+        path, data = checkpoint
+
+        def flipped():
+            for start, stop in header_byte_ranges(data):
+                for i in range(start, stop):
+                    for bit in (0, 7):
+                        out = bytearray(data)
+                        out[i] ^= 1 << bit
+                        yield f"byte {i} bit {bit}", bytes(out)
+
+        _, leaked = self.load_each(path, flipped())
+        assert not leaked, f"{len(leaked)} leaked: {leaked[:5]}"
