@@ -141,7 +141,7 @@ class _Trace:
 def _trace_block(tr: _Trace, name: str, block, c: int, h: int, w: int) -> Tuple[int, int, int]:
     """Append the block's layer costs for a (c, h, w) input; returns the output dims."""
     for prefix, leaf in leaves(block):
-        for item in leaf.plan():
+        for item in leaf.plan:
             if isinstance(item, Parallel):
                 outs = [tr.stage(f"{name}.{prefix}", st, c, h, w) for st in item.stages]
                 c, h, w = outs[0]
@@ -200,7 +200,7 @@ def composite_rf(model: RapidNetModel) -> int:
     chain = []
     for _, block in model.named_blocks():
         for _, leaf in leaves(block):
-            for item in leaf.plan():
+            for item in leaf.plan:
                 convs = [st.conv for st in item_stages(item) if isinstance(st.conv, Conv2dLayer)]
                 if convs:
                     widest = max(convs, key=lambda c: layer_trf(c.kernel_size, c.dilation))

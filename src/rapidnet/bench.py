@@ -38,8 +38,8 @@ class BenchProtocol:
     warmup: int = 3
 
     def validate(self) -> None:
-        if self.rounds < 1 or self.iters_per_round < 1 or self.trim < 0:
-            raise ValueError("rounds/iters must be >= 1 and trim >= 0")
+        if self.rounds < 1 or self.iters_per_round < 1 or self.trim < 0 or self.warmup < 0:
+            raise ValueError("rounds/iters must be >= 1, trim and warmup >= 0")
         if 2 * self.trim >= self.rounds:
             raise ValueError(f"trim {self.trim} discards all {self.rounds} rounds")
 

@@ -2,21 +2,23 @@
 multi-level dilated convolution (MLDC) block, large-kernel FFN, and the
 classifier head.
 
-Each block declares its layers once, as an ordered stage plan (`plan()`):
-`Stage` records (a conv, linear or pooling layer, then an optional BN and
-GeLU, with an optional identity skip around the conv) and `Parallel` groups
-whose branch outputs are summed under one optional GeLU.  A class-level
-`residual` flag adds the block input to the plan's output.  That plan drives
+Each block's constructor builds its layers once, straight into an ordered
+stage plan stored as `block.plan`: `Stage` records (a conv, linear or
+pooling layer, then an optional BN and GeLU, with an optional identity skip
+around the conv) and `Parallel` groups whose branch outputs are summed under
+one optional GeLU.  No layer is held anywhere else.  A class-level
+`residual` flag adds the block input to the plan's output.  The plan drives
 the generic forward and backward below as well as parameter naming, BN and
-skip fusion (`reparam`) and cost and receptive-field tracing (`analysis`),
-so a new block type needs a plan here and a line in `model.build_model`.
+skip fusion (`reparam` swaps in a rewritten plan) and cost and
+receptive-field tracing (`analysis`), so a new block type needs a plan here
+and a line in `model.build_model`.
 
 `forward(x, train=False)` runs the block (train mode uses batch statistics
 in BN, updates running estimates, and records the activations needed for
 `backward`); `backward(grad_out)` accumulates parameter gradients and returns
 the gradient w.r.t. the block input.  Blocks whose BN layers have been
 folded away (see `reparam`) carry `None` in the BN slots and skip
-normalization.
+normalization, and a fused CPE stage carries `skip=False`.
 """
 
 from __future__ import annotations
@@ -157,15 +159,11 @@ class _Block:
 
     residual = False    # add the block input to the plan's output
     input_multiple = 1  # input height and width must be multiples of this
-    parts = ()          # attribute names of the sub-blocks of a composite
-    fused = False       # skips folded into kernels (set on `reparam` copies)
+    parts = ()          # sub-block attribute names of a composite, in constructor order
 
-    def __init__(self):
+    def __init__(self, plan=()):
+        self.plan = list(plan)  # stages and parallel groups in forward order
         self._cache = None
-
-    def plan(self) -> list:
-        """Stages and parallel groups in forward order; a composite has none of its own."""
-        return []
 
     def _take_cache(self):
         if self._cache is None:
@@ -177,7 +175,7 @@ class _Block:
     def named_layers(self):
         """(name, layer) for every conv, linear and BN layer, in forward order."""
         for prefix, leaf in leaves(self):
-            for st in stages(leaf.plan()):
+            for st in stages(leaf.plan):
                 if st.conv is not None:
                     yield prefix + st.name, st.conv
                 if st.bn is not None:
@@ -201,23 +199,30 @@ class _Block:
         if x.shape[2] % m or x.shape[3] % m:
             raise GeometryError(f"{type(self).__name__} input resolution "
                                 f"{x.shape[2]}x{x.shape[3]} must be divisible by {m}")
-        plan = self.plan()
         cache: Optional[list] = [] if train else None
         h = x
-        for item in plan:
+        for item in self.plan:
             step = _parallel_forward if isinstance(item, Parallel) else _stage_forward
             h = step(item, h, train, cache)
         if train:
-            self._cache = (plan, cache)
+            self._cache = cache
         return add(x, h) if self.residual else h
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        plan, cache = self._take_cache()
+        cache = self._take_cache()
         g = grad_out
-        for item, entry in zip(reversed(plan), reversed(cache)):
+        for item, entry in zip(reversed(self.plan), reversed(cache)):
             step = _parallel_backward if isinstance(item, Parallel) else _stage_backward
             g = step(item, g, entry)
         return grad_out + g if self.residual else g
+
+
+def _conv_bn(name: str, bn_name: str, in_channels: int, out_channels: int, k: int, *,
+             rng: Optional[Rng], dtype, act: bool = False, **geometry) -> Stage:
+    """Stage of a bias-free conv followed by a BN."""
+    conv = Conv2dLayer.create(in_channels, out_channels, k, bias=False, rng=rng,
+                              dtype=dtype, **geometry)
+    return Stage(name, conv, bn_name, BatchNorm2d.create(out_channels, dtype=dtype), act=act)
 
 
 class StemBlock(_Block):
@@ -227,20 +232,12 @@ class StemBlock(_Block):
 
     def __init__(self, in_channels: int, out_channels: int, *,
                  rng: Optional[Rng] = None, dtype=np.float32):
-        super().__init__()
         if out_channels % 2 != 0:
             raise ShapeError(f"stem output channels must be even, got {out_channels}")
         mid = out_channels // 2
-        self.conv1 = Conv2dLayer.create(in_channels, mid, 3, stride=2, padding=1,
-                                        bias=False, rng=rng, dtype=dtype)
-        self.bn1: Optional[BatchNorm2d] = BatchNorm2d.create(mid, dtype=dtype)
-        self.conv2 = Conv2dLayer.create(mid, out_channels, 3, stride=2, padding=1,
-                                        bias=False, rng=rng, dtype=dtype)
-        self.bn2: Optional[BatchNorm2d] = BatchNorm2d.create(out_channels, dtype=dtype)
-
-    def plan(self):
-        return [Stage("conv1", self.conv1, "bn1", self.bn1, act=True),
-                Stage("conv2", self.conv2, "bn2", self.bn2, act=True)]
+        kw = dict(stride=2, padding=1, act=True, rng=rng, dtype=dtype)
+        super().__init__([_conv_bn("conv1", "bn1", in_channels, mid, 3, **kw),
+                          _conv_bn("conv2", "bn2", mid, out_channels, 3, **kw)])
 
 
 class InvertedResidualBlock(_Block):
@@ -249,24 +246,12 @@ class InvertedResidualBlock(_Block):
     residual = True
 
     def __init__(self, channels: int, *, rng: Optional[Rng] = None, dtype=np.float32):
-        super().__init__()
         hidden = 4 * channels
-        self.expand = Conv2dLayer.create(channels, hidden, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn1: Optional[BatchNorm2d] = BatchNorm2d.create(hidden, dtype=dtype)
-        self.dw = Conv2dLayer.create(hidden, hidden, 3, padding=1, groups=hidden,
-                                     bias=False, rng=rng, dtype=dtype)
-        self.bn2: Optional[BatchNorm2d] = BatchNorm2d.create(hidden, dtype=dtype)
-        self.project = Conv2dLayer.create(hidden, channels, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn3: Optional[BatchNorm2d] = BatchNorm2d.create(channels, dtype=dtype)
-
-    @property
-    def channels(self) -> int:
-        return self.expand.in_channels
-
-    def plan(self):
-        return [Stage("expand", self.expand, "bn1", self.bn1, act=True),
-                Stage("dw", self.dw, "bn2", self.bn2, act=True),
-                Stage("project", self.project, "bn3", self.bn3)]
+        kw = dict(rng=rng, dtype=dtype)
+        super().__init__([
+            _conv_bn("expand", "bn1", channels, hidden, 1, act=True, **kw),
+            _conv_bn("dw", "bn2", hidden, hidden, 3, padding=1, groups=hidden, act=True, **kw),
+            _conv_bn("project", "bn3", hidden, channels, 1, **kw)])
 
 
 class DownsampleBlock(_Block):
@@ -274,13 +259,8 @@ class DownsampleBlock(_Block):
 
     def __init__(self, in_channels: int, out_channels: int, *,
                  rng: Optional[Rng] = None, dtype=np.float32):
-        super().__init__()
-        self.conv = Conv2dLayer.create(in_channels, out_channels, 3, stride=2, padding=1,
-                                       bias=False, rng=rng, dtype=dtype)
-        self.bn: Optional[BatchNorm2d] = BatchNorm2d.create(out_channels, dtype=dtype)
-
-    def plan(self):
-        return [Stage("conv", self.conv, "bn", self.bn)]
+        super().__init__([_conv_bn("conv", "bn", in_channels, out_channels, 3, stride=2,
+                                   padding=1, rng=rng, dtype=dtype)])
 
 
 MIXER_MODES = ("mldc", "sldc", "conv3x3", "pointwise")
@@ -293,7 +273,7 @@ class MldcBlock(_Block):
 
     `mixer_mode` selects the branch set: "mldc" (two dilated convs), "sldc"
     (one dilated conv), "conv3x3" (one regular 3x3), "pointwise" (one 1x1).
-    Branch i lives in the attributes `branch_<t>` and `bn_<t>`, t = "ab"[i].
+    Branch i is the stage `branch_<t>` with BN `bn_<t>`, t = "ab"[i].
     """
 
     residual = True
@@ -302,20 +282,8 @@ class MldcBlock(_Block):
                  mixer_mode: str = "mldc", use_cpe: bool = True,
                  gelu_per_branch: bool = False,
                  rng: Optional[Rng] = None, dtype=np.float32):
-        super().__init__()
         if mixer_mode not in MIXER_MODES:
             raise ValueError(f"unknown mixer_mode {mixer_mode!r}")
-        self.mixer_mode = mixer_mode
-        self.gelu_per_branch = gelu_per_branch
-        if use_cpe:
-            self.cpe: Optional[Conv2dLayer] = Conv2dLayer.create(
-                channels, channels, 7, padding=3, groups=channels, bias=True,
-                rng=rng, dtype=dtype)
-        else:
-            self.cpe = None
-        self.pw_in = Conv2dLayer.create(channels, channels, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn_in: Optional[BatchNorm2d] = BatchNorm2d.create(channels, dtype=dtype)
-
         if mixer_mode == "mldc":
             specs = [(kernel, dilations[0]), (kernel, dilations[1])]
         elif mixer_mode == "sldc":
@@ -324,35 +292,17 @@ class MldcBlock(_Block):
             specs = [(3, 1)]
         else:  # pointwise
             specs = [(1, 1)]
-        self._tags = "ab"[:len(specs)]
-        for tag, (k, d) in zip(self._tags, specs):
-            setattr(self, f"branch_{tag}", Conv2dLayer.create(
-                channels, channels, k, padding=d * (k - 1) // 2, dilation=d,
-                bias=False, rng=rng, dtype=dtype))
-            setattr(self, f"bn_{tag}", BatchNorm2d.create(channels, dtype=dtype))
-
-        self.pw_out = Conv2dLayer.create(channels, channels, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn_out: Optional[BatchNorm2d] = BatchNorm2d.create(channels, dtype=dtype)
-
-    @property
-    def channels(self) -> int:
-        return self.pw_in.in_channels
-
-    @property
-    def branches(self) -> List[Conv2dLayer]:
-        return [getattr(self, f"branch_{t}") for t in self._tags]
-
-    @property
-    def branch_bns(self) -> List[Optional[BatchNorm2d]]:
-        return [getattr(self, f"bn_{t}") for t in self._tags]
-
-    def plan(self):
-        mixer = Parallel([Stage(f"branch_{t}", conv, f"bn_{t}", bn, act=self.gelu_per_branch)
-                          for t, conv, bn in zip(self._tags, self.branches, self.branch_bns)],
-                         act=not self.gelu_per_branch)
-        cpe = [] if self.cpe is None else [Stage("cpe", self.cpe, skip=not self.fused)]
-        return cpe + [Stage("pw_in", self.pw_in, "bn_in", self.bn_in), mixer,
-                      Stage("pw_out", self.pw_out, "bn_out", self.bn_out)]
+        kw = dict(rng=rng, dtype=dtype)
+        cpe = [Stage("cpe", Conv2dLayer.create(channels, channels, 7, padding=3,
+                                               groups=channels, bias=True, **kw), skip=True)
+               ] if use_cpe else []
+        pw_in = _conv_bn("pw_in", "bn_in", channels, channels, 1, **kw)
+        mixer = Parallel([_conv_bn(f"branch_{t}", f"bn_{t}", channels, channels, k,
+                                   padding=d * (k - 1) // 2, dilation=d,
+                                   act=gelu_per_branch, **kw)
+                          for t, (k, d) in zip("ab", specs)], act=not gelu_per_branch)
+        pw_out = _conv_bn("pw_out", "bn_out", channels, channels, 1, **kw)
+        super().__init__(cpe + [pw_in, mixer, pw_out])
 
 
 class LkFfnBlock(_Block):
@@ -363,24 +313,13 @@ class LkFfnBlock(_Block):
 
     def __init__(self, channels: int, *, large_kernel: bool = True,
                  rng: Optional[Rng] = None, dtype=np.float32):
-        super().__init__()
         k = 7 if large_kernel else 1
         hidden = 4 * channels
-        self.dw = Conv2dLayer.create(channels, channels, k, padding=(k - 1) // 2,
-                                     groups=channels, bias=False, rng=rng, dtype=dtype)
-        self.bn1: Optional[BatchNorm2d] = BatchNorm2d.create(channels, dtype=dtype)
-        self.fc1 = Conv2dLayer.create(channels, hidden, 1, bias=True, rng=rng, dtype=dtype)
-        self.fc2 = Conv2dLayer.create(hidden, channels, 1, bias=False, rng=rng, dtype=dtype)
-        self.bn2: Optional[BatchNorm2d] = BatchNorm2d.create(channels, dtype=dtype)
-
-    @property
-    def channels(self) -> int:
-        return self.dw.in_channels
-
-    def plan(self):
-        return [Stage("dw", self.dw, "bn1", self.bn1),
-                Stage("fc1", self.fc1, act=True),
-                Stage("fc2", self.fc2, "bn2", self.bn2)]
+        kw = dict(rng=rng, dtype=dtype)
+        dw = _conv_bn("dw", "bn1", channels, channels, k, padding=(k - 1) // 2,
+                      groups=channels, **kw)
+        fc1 = Stage("fc1", Conv2dLayer.create(channels, hidden, 1, bias=True, **kw), act=True)
+        super().__init__([dw, fc1, _conv_bn("fc2", "bn2", hidden, channels, 1, **kw)])
 
 
 class DilatedConvBlock(_Block):
@@ -409,21 +348,10 @@ class HeadBlock(_Block):
 
     def __init__(self, channels: int, num_classes: int, *, hidden: Optional[int] = None,
                  rng: Optional[Rng] = None, dtype=np.float32):
-        super().__init__()
-        self.hidden = hidden
+        kw = dict(rng=rng, dtype=dtype)
         if hidden is None:
-            self.fc = LinearLayer.create(channels, num_classes, rng=rng, dtype=dtype)
-            self.fc1 = self.fc2 = None
+            fcs = [Stage("fc", LinearLayer.create(channels, num_classes, **kw))]
         else:
-            self.fc = None
-            self.fc1 = LinearLayer.create(channels, hidden, rng=rng, dtype=dtype)
-            self.fc2 = LinearLayer.create(hidden, num_classes, rng=rng, dtype=dtype)
-
-    @property
-    def num_classes(self) -> int:
-        return (self.fc or self.fc2).out_features
-
-    def plan(self):
-        if self.hidden is None:
-            return [Stage("pool", None), Stage("fc", self.fc)]
-        return [Stage("pool", None), Stage("fc1", self.fc1, act=True), Stage("fc2", self.fc2)]
+            fcs = [Stage("fc1", LinearLayer.create(channels, hidden, **kw), act=True),
+                   Stage("fc2", LinearLayer.create(hidden, num_classes, **kw))]
+        super().__init__([Stage("pool", None)] + fcs)

@@ -181,7 +181,8 @@ def cmd_verify(args) -> int:
     reparam.recalibrate_bn(model, rng.normal((4, 3, resolution, resolution), dtype=dt))
     fused, _ = reparam.reparameterize_model(model)
     if args.inject_fault:
-        fused.stem.conv1.weight.value[0, 0, 0, 0] += 1.0
+        _, first = fused.iter_params()[0]
+        first.value.flat[0] += 1.0
     x = rng.normal((1, 3, resolution, resolution), dtype=dt)
     ref, out = model.forward(x), fused.forward(x)
     diff = float(np.max(np.abs(ref - out)))
@@ -364,11 +365,11 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("train-toy", help="train the micro variant on synthetic blobs")
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--schedule", choices=("constant", "cosine"), default="cosine")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--samples", type=_positive_int, default=64)
+    p.add_argument("--batch-size", type=_positive_int, default=None)
     p.add_argument("--image-size", type=int, default=32)
     p.add_argument("--out", default=None, help="write the step,lr,loss CSV here")
     p.add_argument("--save-model", default=None)

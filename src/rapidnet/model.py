@@ -3,6 +3,8 @@
 A built model is a conv stem, four stages of blocks with downsample layers
 between them, and a classifier head.  Stages 1-2 hold inverted residual
 blocks only; stages 3-4 append dilated convolution blocks after the IRBs.
+`build_model` writes that order down once, as the model's list of named
+blocks; forward, backward, naming, fusion and analysis all walk that list.
 Variant configurations (ti/s/m/b) follow the published architecture table;
 `micro` is a tiny non-standard variant for fast tests.
 """
@@ -105,7 +107,7 @@ class ModelConfig:
             gelu_per_branch=d["gelu_per_branch"],
             head_hidden=d["head_hidden"],
             seed=d["seed"],
-            variant=d.get("variant", "custom"),
+            variant=d["variant"],
         )
 
 
@@ -138,7 +140,8 @@ def default_config(variant: str) -> ModelConfig:
 
 
 class RapidNetModel:
-    """A built network: stem, four stages with interleaved downsamples, head.
+    """A built network: one ordered list of named blocks (stem, four stages
+    with interleaved downsamples, head) that every walker reads.
 
     `mode` is "train" or "eval"; eval-mode forward is pure, train-mode
     forward updates BN running statistics and records activations so that
@@ -146,14 +149,10 @@ class RapidNetModel:
     stage{i}.{irb|dcb}{j}.<layer>.<tensor> (see `iter_params`).
     """
 
-    def __init__(self, config: ModelConfig, stem: StemBlock,
-                 stages: List[List[object]], downsamples: List[DownsampleBlock],
-                 head: HeadBlock, dtype=np.float32, fused: bool = False):
+    def __init__(self, config: ModelConfig, blocks: List[Tuple[str, object]],
+                 dtype=np.float32, fused: bool = False):
         self.config = config
-        self.stem = stem
-        self.stages = stages
-        self.downsamples = downsamples
-        self.head = head
+        self._blocks = list(blocks)
         self.dtype = np.dtype(dtype)
         self.fused = fused
         self.mode = "eval"
@@ -174,19 +173,9 @@ class RapidNetModel:
                 if isinstance(layer, BatchNorm2d):
                     yield layer
 
-    def named_blocks(self) -> Iterator[Tuple[str, object]]:
+    def named_blocks(self) -> List[Tuple[str, object]]:
         """(name, block) pairs in forward order."""
-        yield "stem", self.stem
-        for i, stage in enumerate(self.stages):
-            n_irb = self.config.stages[i].n_irb
-            for j, blk in enumerate(stage):
-                if j < n_irb:
-                    yield f"stage{i + 1}.irb{j}", blk
-                else:
-                    yield f"stage{i + 1}.dcb{j - n_irb}", blk
-            if i < 3:
-                yield f"down{i + 1}", self.downsamples[i]
-        yield "head", self.head
+        return self._blocks
 
     def iter_params(self) -> List[Tuple[str, Param]]:
         params = []
@@ -211,20 +200,18 @@ class RapidNetModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"model input must be 4-D (N,3,H,W), got {x.shape}")
-        if x.shape[1] != self.stem.conv1.in_channels:
-            raise ShapeError(f"model expects {self.stem.conv1.in_channels}-channel input, "
+        _, first = next(self._blocks[0][1].named_layers())
+        if x.shape[1] != first.in_channels:
+            raise ShapeError(f"model expects {first.in_channels}-channel input, "
                              f"got {x.shape[1]}")
         if x.shape[2] % 32 != 0 or x.shape[3] % 32 != 0:
             raise GeometryError(f"input resolution {x.shape[2]}x{x.shape[3]} "
                                 "must be divisible by 32")
         train = self.mode == "train"
-        h = self.stem.forward(x, train)
-        for i, stage in enumerate(self.stages):
-            for blk in stage:
-                h = blk.forward(h, train)
-            if i < 3:
-                h = self.downsamples[i].forward(h, train)
-        return self.head.forward(h, train)
+        h = x
+        for _, blk in self._blocks:
+            h = blk.forward(h, train)
+        return h
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Propagate loss gradients back through the whole network.
@@ -232,13 +219,10 @@ class RapidNetModel:
         Requires a preceding train-mode forward; accumulates into each
         parameter's grad slot and returns the gradient w.r.t. the input.
         """
-        g = self.head.backward(grad_logits)
-        for i in range(3, -1, -1):
-            if i < 3:
-                g = self.downsamples[i].backward(g)
-            for blk in reversed(self.stages[i]):
-                g = blk.backward(g)
-        return self.stem.backward(g)
+        g = grad_logits
+        for _, blk in reversed(self._blocks):
+            g = blk.backward(g)
+        return g
 
 
 def build_model(cfg: ModelConfig, dtype="f32", *, init: bool = True) -> RapidNetModel:
@@ -251,26 +235,20 @@ def build_model(cfg: ModelConfig, dtype="f32", *, init: bool = True) -> RapidNet
     """
     cfg.validate()
     dt = resolve_dtype(dtype)
-    rng = Rng(cfg.seed) if init else None
+    kw = dict(rng=Rng(cfg.seed) if init else None, dtype=dt)
 
-    stem = StemBlock(3, cfg.stages[0].channels, rng=rng, dtype=dt)
-    stages: List[List[object]] = []
-    downsamples: List[DownsampleBlock] = []
-    for i, st in enumerate(cfg.stages):
-        blocks: List[object] = []
-        for _ in range(st.n_irb):
-            blocks.append(InvertedResidualBlock(st.channels, rng=rng, dtype=dt))
-        for _ in range(st.n_dcb):
+    blocks: List[Tuple[str, object]] = [("stem", StemBlock(3, cfg.stages[0].channels, **kw))]
+    for i, st in enumerate(cfg.stages, start=1):
+        for j in range(st.n_irb):
+            blocks.append((f"stage{i}.irb{j}", InvertedResidualBlock(st.channels, **kw)))
+        for j in range(st.n_dcb):
             mldc = MldcBlock(st.channels, dilations=cfg.dilations, kernel=cfg.mixer_kernel,
                              mixer_mode=cfg.mixer_mode, use_cpe=cfg.use_cpe,
-                             gelu_per_branch=cfg.gelu_per_branch, rng=rng, dtype=dt)
-            ffn = LkFfnBlock(st.channels, large_kernel=cfg.lk_ffn, rng=rng, dtype=dt)
-            blocks.append(DilatedConvBlock(mldc, ffn))
-        stages.append(blocks)
-        if i < 3:
-            downsamples.append(DownsampleBlock(st.channels, cfg.stages[i + 1].channels,
-                                               rng=rng, dtype=dt))
-    head = HeadBlock(cfg.stages[3].channels, cfg.num_classes, hidden=cfg.head_hidden,
-                     rng=rng, dtype=dt)
-    return RapidNetModel(cfg, stem, stages, downsamples, head, dtype=dt)
-
+                             gelu_per_branch=cfg.gelu_per_branch, **kw)
+            ffn = LkFfnBlock(st.channels, large_kernel=cfg.lk_ffn, **kw)
+            blocks.append((f"stage{i}.dcb{j}", DilatedConvBlock(mldc, ffn)))
+        if i < 4:
+            blocks.append((f"down{i}", DownsampleBlock(st.channels, cfg.stages[i].channels, **kw)))
+    blocks.append(("head", HeadBlock(cfg.stages[3].channels, cfg.num_classes,
+                                     hidden=cfg.head_hidden, **kw)))
+    return RapidNetModel(cfg, blocks, dtype=dt)

@@ -8,20 +8,22 @@ Two rewrites, both function-preserving:
   bias, leaving a BN-free graph.
 
 Outer block residuals wrap non-linear paths and are kept as explicit adds.
-`fuse_model` is the rewrite alone; `reparameterize_model` adds a seeded
-two-forward equivalence check.  Both return a new model and leave the input
-model untouched.
+Both rewrites act on the blocks' stage plans: a fused block is a shallow copy
+whose plan holds the folded convs with no BN and no skip.  `fuse_model` is
+the rewrite alone; `reparameterize_model` adds a seeded two-forward
+equivalence check.  Both return a new model and leave the input model
+untouched.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .blocks import stages
+from .blocks import Parallel, Stage
 from .errors import FusionError, ShapeError, StateError
 from .model import RapidNetModel
 from .ops import BatchNorm2d, Conv2dLayer, LinearLayer
@@ -97,23 +99,25 @@ class _Counter:
         return fold_bn_into_conv(conv, bn)
 
 
+def _fuse_stage(st: Stage, counter: _Counter) -> Stage:
+    if st.conv is None:
+        return st
+    conv = st.conv
+    if st.skip:
+        conv = fuse_identity_into_dw(conv)
+        counter.skips += 1
+    return st._replace(conv=counter.fold(conv, st.bn), bn=None, skip=False)
+
+
 def _fuse_block(block, counter: _Counter):
     """Copy of `block` with each skip folded into its kernel and each BN into its conv."""
+    if block.parts:  # a composite is rebuilt from its fused parts
+        return type(block)(*(_fuse_block(getattr(block, p), counter) for p in block.parts))
     out = copy.copy(block)
     out._cache = None
-    out.fused = True
-    for part in block.parts:
-        setattr(out, part, _fuse_block(getattr(block, part), counter))
-    for st in stages(block.plan()):
-        if st.conv is None:
-            continue
-        conv = st.conv
-        if st.skip:
-            conv = fuse_identity_into_dw(conv)
-            counter.skips += 1
-        setattr(out, st.name, counter.fold(conv, st.bn))
-        if st.bn is not None:
-            setattr(out, st.bn_name, None)
+    out.plan = [item._replace(stages=[_fuse_stage(st, counter) for st in item.stages])
+                if isinstance(item, Parallel) else _fuse_stage(item, counter)
+                for item in block.plan]
     return out
 
 
@@ -127,12 +131,8 @@ def fuse_model(model: RapidNetModel) -> Tuple[RapidNetModel, int, int]:
     if model.mode != "eval":
         raise StateError("fusion requires an eval-mode model")
     counter = _Counter()
-    stem = _fuse_block(model.stem, counter)
-    stages: List[list] = [[_fuse_block(b, counter) for b in stage] for stage in model.stages]
-    downs = [_fuse_block(d, counter) for d in model.downsamples]
-    head = _fuse_block(model.head, counter)
-    fused = RapidNetModel(model.config, stem, stages, downs, head,
-                          dtype=model.dtype, fused=True)
+    blocks = [(name, _fuse_block(blk, counter)) for name, blk in model.named_blocks()]
+    fused = RapidNetModel(model.config, blocks, dtype=model.dtype, fused=True)
     return fused, counter.skips, counter.bns
 
 

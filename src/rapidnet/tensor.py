@@ -31,10 +31,6 @@ def resolve_dtype(dtype) -> np.dtype:
     return dt
 
 
-def dtype_name(dtype) -> str:
-    return "f64" if np.dtype(dtype) == np.float64 else "f32"
-
-
 class Rng:
     """Deterministic random stream.
 

@@ -18,7 +18,9 @@ self-describing: `load` builds a zero-filled structure from it (no random
 init), checks every conv and linear weight's name and shape against the
 entries, fuses the structure when the file is fused (the rewrite alone: the
 equivalence forward lives in `reparam.reparameterize_model`, which export
-and verify run), checks every name and shape, and only then fills it.
+and verify run), then checks and fills the entries one by one.  The blob
+must carry every config field plus "fused" and "dtype"; `save` writes them
+all, so a missing key is a `CorruptFileError`.
 """
 
 from __future__ import annotations
@@ -133,7 +135,9 @@ def load(path: str) -> RapidNetModel:
             blob = json.loads(_read_declared(fh, cfg_len, end).decode("utf-8"))
             cfg = ModelConfig.from_dict(blob)
             cfg.validate()
-            dtype = resolve_dtype(blob.get("dtype", "f32"))
+            # `save` writes both keys, so a missing one is damage, not a default
+            dtype = resolve_dtype(blob["dtype"])
+            fused = blob["fused"]
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptFileError(f"unreadable config blob: {exc}") from exc
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
@@ -159,7 +163,7 @@ def load(path: str) -> RapidNetModel:
                 found = "missing" if arr is None else f"shape {arr.shape}"
                 raise IntegrityError(f"weight {name!r} is {found}, the "
                                      f"{cfg.variant!r} config declares {p.shape}")
-    if blob.get("fused", False):
+    if fused:
         model, _, _ = fuse_model(model)
 
     expected = {name: p.value for name, p in model.iter_params()}

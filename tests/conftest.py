@@ -9,6 +9,11 @@ from rapidnet.blocks import MIXER_MODES
 from rapidnet.tensor import Rng
 
 
+def layers(block, prefix: str) -> list:
+    """The block's layers whose names start with `prefix`, in forward order."""
+    return [layer for name, layer in block.named_layers() if name.startswith(prefix)]
+
+
 def rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
     """Max-abs difference scaled by the magnitude of the expected value."""
     denom = max(float(np.max(np.abs(expected))), 1e-8)
@@ -38,6 +43,9 @@ DEFECTIVE_CONFIGS = {
     "null_dilations": lambda b: {**b, "dilations": None},
     "list_blob": lambda b: [b],
     "bogus_mixer_mode": lambda b: {**b, "mixer_mode": "bogus"},
+    "missing_dtype": lambda b: {k: v for k, v in b.items() if k != "dtype"},
+    "missing_fused": lambda b: {k: v for k, v in b.items() if k != "fused"},
+    "missing_variant": lambda b: {k: v for k, v in b.items() if k != "variant"},
 }
 
 

@@ -52,6 +52,11 @@ class TestProtocol:
         with pytest.raises(ValueError):
             BenchProtocol(rounds=10, trim=5).validate()
 
+    def test_negative_warmup(self):
+        BenchProtocol(warmup=0).validate()
+        with pytest.raises(ValueError, match="warmup"):
+            BenchProtocol(warmup=-1).validate()
+
 
 class TestBenchCase:
     def test_dilated_vs_dense_mac_ratio(self):

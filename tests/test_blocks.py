@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import layers
 from rapidnet.blocks import (
     DilatedConvBlock,
     DownsampleBlock,
@@ -8,6 +9,7 @@ from rapidnet.blocks import (
     InvertedResidualBlock,
     LkFfnBlock,
     MldcBlock,
+    Parallel,
     StemBlock,
 )
 from rapidnet.errors import GeometryError, ShapeError
@@ -68,21 +70,23 @@ class TestMldc:
         block = MldcBlock(4, rng=rng)
         x = rng.normal((1, 4, 8, 8))
         out = block.forward(x)
-        block.branch_a, block.branch_b = block.branch_b, block.branch_a
-        block.bn_a, block.bn_b = block.bn_b, block.bn_a
+        i, mixer = next((i, item) for i, item in enumerate(block.plan)
+                        if isinstance(item, Parallel))
+        block.plan[i] = mixer._replace(stages=mixer.stages[::-1])
         assert np.allclose(block.forward(x), out)
 
     def test_branch_counts_per_mode(self, rng):
-        assert len(MldcBlock(4, mixer_mode="mldc", rng=rng).branches) == 2
-        assert len(MldcBlock(4, mixer_mode="sldc", rng=rng).branches) == 1
-        assert len(MldcBlock(4, mixer_mode="conv3x3", rng=rng).branches) == 1
-        assert len(MldcBlock(4, mixer_mode="pointwise", rng=rng).branches) == 1
+        assert len(layers(MldcBlock(4, mixer_mode="mldc", rng=rng), "branch_")) == 2
+        assert len(layers(MldcBlock(4, mixer_mode="sldc", rng=rng), "branch_")) == 1
+        assert len(layers(MldcBlock(4, mixer_mode="conv3x3", rng=rng), "branch_")) == 1
+        assert len(layers(MldcBlock(4, mixer_mode="pointwise", rng=rng), "branch_")) == 1
 
     def test_dilations_and_kernels(self, rng):
         block = MldcBlock(4, dilations=(3, 4), kernel=5, rng=rng)
-        assert [c.dilation for c in block.branches] == [3, 4]
-        assert [c.kernel_size for c in block.branches] == [5, 5]
-        assert [c.padding for c in block.branches] == [6, 8]
+        branches = layers(block, "branch_")
+        assert [c.dilation for c in branches] == [3, 4]
+        assert [c.kernel_size for c in branches] == [5, 5]
+        assert [c.padding for c in branches] == [6, 8]
         x = rng.normal((1, 4, 10, 10))
         assert block.forward(x).shape == x.shape
 
@@ -100,7 +104,7 @@ class TestLkFfn:
 
     def test_small_kernel_flag(self, rng):
         block = LkFfnBlock(4, large_kernel=False, rng=rng)
-        assert block.dw.kernel_size == 1
+        assert dict(block.named_layers())["dw"].kernel_size == 1
         x = rng.normal((1, 4, 6, 6))
         assert block.forward(x).shape == x.shape
 

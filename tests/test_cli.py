@@ -35,7 +35,8 @@ class TestBuild:
         code, _, _ = run(["build", "--variant", "micro", "--classes", "10",
                           "--out", str(out)], capsys)
         assert code == 0
-        assert load(str(out)).head.num_classes == 10
+        head = dict(load(str(out)).named_blocks())["head"]
+        assert dict(head.named_layers())["fc"].out_features == 10
 
     def test_build_ablation_dilations(self, tmp_path, capsys):
         out = tmp_path / "m.rpdn"
@@ -130,6 +131,14 @@ class TestBench:
             main(["bench", "--case", "dilated3x3", "--threads", "4"])
         assert exc.value.code == 1
 
+    def test_negative_warmup_exits_one(self, capsys):
+        code, out, err = run(["bench", "--case", "dilated3x3", "--shape", "1,2,8,8",
+                              "--rounds", "4", "--iters", "1", "--trim", "1",
+                              "--warmup", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "warmup" in err
+
 
 class TestTrainToy:
     def test_csv_with_decreasing_cosine_lr(self, tmp_path, capsys):
@@ -150,6 +159,16 @@ class TestTrainToy:
         data = json.loads(out)
         assert len(data["trace"]) == 3
         assert 0.0 <= data["final_accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("flag", ["--steps", "--samples", "--batch-size"])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_non_positive_counts_exit_one(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-toy", "--steps", "2", "--samples", "4", "--json", flag, value])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument {flag}" in err and "Traceback" not in err
 
 
 class TestInferExport:

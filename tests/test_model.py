@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import layers
 from rapidnet.analysis import count_macs, count_params
 from rapidnet.errors import ConfigError, GeometryError
 from rapidnet.model import (
@@ -76,7 +77,8 @@ class TestBuild:
         cfg = default_config("micro")
         a = build_model(replace(cfg, seed=1))
         b = build_model(replace(cfg, seed=2))
-        assert not np.array_equal(a.stem.conv1.weight.value, b.stem.conv1.weight.value)
+        wa, wb = (dict(m.iter_params())["stem.conv1.weight"].value for m in (a, b))
+        assert not np.array_equal(wa, wb)
 
     def test_ti_block_counts(self):
         model = build_model(default_config("ti"))
@@ -90,7 +92,7 @@ class TestBuild:
         model = build_model(cfg)
         for name, blk in model.named_blocks():
             if ".dcb" in name:
-                assert len(blk.mldc.branches) == 1
+                assert len(layers(blk, "mldc.branch_")) == 1
 
     def test_mixer_mode_structure(self):
         for mode, (k, d) in [("conv3x3", (3, 1)), ("pointwise", (1, 1))]:
@@ -98,7 +100,7 @@ class TestBuild:
             model = build_model(cfg)
             for name, blk in model.named_blocks():
                 if ".dcb" in name:
-                    (conv,) = blk.mldc.branches
+                    (conv,) = layers(blk, "mldc.branch_")
                     assert conv.kernel_size == k
                     assert conv.dilation == d
 
@@ -138,9 +140,10 @@ class TestForward:
     def test_train_mode_updates_running_stats(self):
         model = build_model(default_config("micro"))
         model.set_mode("train")
-        before = model.stem.bn1.running_mean.copy()
+        bn = dict(dict(model.named_blocks())["stem"].named_layers())["bn1"]
+        before = bn.running_mean.copy()
         model.forward(Rng(3).normal((2, 3, 32, 32)))
-        assert not np.array_equal(before, model.stem.bn1.running_mean)
+        assert not np.array_equal(before, bn.running_mean)
 
 
 class TestIterParams:

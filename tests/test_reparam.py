@@ -94,7 +94,8 @@ class TestMldcBlockEquivalence:
     def test_fused_mode_matches_train_form(self, rng, dtype, tol):
         block = MldcBlock(4, rng=rng, dtype=dtype)
         # non-trivial BN stats so folding is exercised
-        for bn in [block.bn_in, block.bn_out] + block.branch_bns:
+        named = dict(block.named_layers())
+        for bn in [named[n] for n in ("bn_in", "bn_out", "bn_a", "bn_b")]:
             bn.running_mean[:] = rng.normal((4,), std=0.2, dtype=dtype)
             bn.running_var[:] = rng.uniform((4,), 0.5, 1.5, dtype=dtype)
         fused = _fuse_block(block, _Counter())

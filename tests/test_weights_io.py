@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import subprocess
@@ -52,6 +53,18 @@ class TestRoundTrip:
         path = tmp_path / "model.rpdn"
         save(model, str(path))
         assert_models_equal(model, load(str(path)))
+
+    # sha256 of `save(build_model(default_config("micro"), dtype))`: pins the
+    # seeded init order, the entry order and every entry name, so a structural
+    # refactor that changes any of them shows up here.
+    @pytest.mark.parametrize("dtype,digest", [
+        ("f32", "df923c11a3da283eaf2fa74ffff96794dff87b23260f75ca9e00f01c0e2054bb"),
+        ("f64", "16c32aac3d96e9ecbd9c5743b34f385bd2fee8156b8109768f8c65fa29dcef7d"),
+    ])
+    def test_micro_checkpoint_bytes_pinned(self, dtype, digest, tmp_path):
+        path = tmp_path / "model.rpdn"
+        save(build_model(default_config("micro"), dtype=dtype), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_magic_bytes(self, tmp_path):
         model = build_model(default_config("micro"))
