@@ -50,7 +50,7 @@ from .reparam import (
     recalibrate_bn,
     reparameterize_model,
 )
-from .tensor import Rng, randn, tensor_new
+from .tensor import Rng, randn
 from .trainer import AdamWState, SyntheticDataset, adamw_step, train_toy
 
 __version__ = "0.1.0"

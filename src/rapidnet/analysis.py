@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .blocks import Parallel, Stage, item_stages, leaves
+from .blocks import Parallel, Stage, item_stages
 from .errors import GeometryError
 from .model import ModelConfig, RapidNetModel, build_model
 from .ops import BatchNorm2d, Conv2dLayer, LinearLayer, out_shape
@@ -140,16 +140,15 @@ class _Trace:
 
 def _trace_block(tr: _Trace, name: str, block, c: int, h: int, w: int) -> Tuple[int, int, int]:
     """Append the block's layer costs for a (c, h, w) input; returns the output dims."""
-    for prefix, leaf in leaves(block):
-        for item in leaf.plan:
-            if isinstance(item, Parallel):
-                outs = [tr.stage(f"{name}.{prefix}", st, c, h, w) for st in item.stages]
-                c, h, w = outs[0]
-                tr.elementwise += (len(outs) - 1 + item.act) * c * h * w  # branch sum, GeLU
-            else:
-                c, h, w = tr.stage(f"{name}.{prefix}", item, c, h, w)
-        if leaf.residual:
-            tr.elementwise += c * h * w
+    for item in block.plan:
+        if isinstance(item, Parallel):
+            outs = [tr.stage(f"{name}.", st, c, h, w) for st in item.stages]
+            c, h, w = outs[0]
+            tr.elementwise += (len(outs) - 1 + item.act) * c * h * w  # branch sum, GeLU
+        else:
+            c, h, w = tr.stage(f"{name}.", item, c, h, w)
+    if block.residual:
+        tr.elementwise += c * h * w
     return c, h, w
 
 
@@ -199,12 +198,11 @@ def composite_rf(model: RapidNetModel) -> int:
     """
     chain = []
     for _, block in model.named_blocks():
-        for _, leaf in leaves(block):
-            for item in leaf.plan:
-                convs = [st.conv for st in item_stages(item) if isinstance(st.conv, Conv2dLayer)]
-                if convs:
-                    widest = max(convs, key=lambda c: layer_trf(c.kernel_size, c.dilation))
-                    chain.append((widest.kernel_size, widest.dilation, widest.stride))
+        for item in block.plan:
+            convs = [st.conv for st in item_stages(item) if isinstance(st.conv, Conv2dLayer)]
+            if convs:
+                widest = max(convs, key=lambda c: layer_trf(c.kernel_size, c.dilation))
+                chain.append((widest.kernel_size, widest.dilation, widest.stride))
     return chain_rf(chain)
 
 

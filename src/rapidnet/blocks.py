@@ -1,4 +1,4 @@
-"""Composite network blocks: conv stem, inverted residual block, downsample,
+"""Network blocks: conv stem, inverted residual block, downsample,
 multi-level dilated convolution (MLDC) block, large-kernel FFN, and the
 classifier head.
 
@@ -10,8 +10,13 @@ one optional GeLU.  No layer is held anywhere else.  A class-level
 `residual` flag adds the block input to the plan's output.  The plan drives
 the generic forward and backward below as well as parameter naming, BN and
 skip fusion (`reparam` swaps in a rewritten plan) and cost and
-receptive-field tracing (`analysis`), so a new block type needs a plan here
-and a line in `model.build_model`.
+receptive-field tracing (`analysis`), so a new block type is a plan here
+plus the `model.build_model` line that appends it to the block list.
+
+The paper's dilated conv block is an MLDC block followed by a large-kernel
+FFN: a model holds the two as consecutive entries of its block list.
+`DilatedConvBlock` chains the same pair for standalone use (gradient checks);
+it has no plan of its own and is never a model entry.
 
 `forward(x, train=False)` runs the block (train mode uses batch statistics
 in BN, updates running estimates, and records the activations needed for
@@ -77,13 +82,6 @@ def item_stages(item) -> List[Stage]:
 def stages(plan) -> List[Stage]:
     """Every stage of a plan in forward order, parallel groups flattened."""
     return [st for item in plan for st in item_stages(item)]
-
-
-def leaves(block) -> list:
-    """(name prefix, block) for each block in `block` that runs its own plan."""
-    if block.parts:
-        return [(f"{part}.", getattr(block, part)) for part in block.parts]
-    return [("", block)]
 
 
 def _apply_bn(x: np.ndarray, bn: Optional[BatchNorm2d], train: bool) -> np.ndarray:
@@ -159,9 +157,8 @@ class _Block:
 
     residual = False    # add the block input to the plan's output
     input_multiple = 1  # input height and width must be multiples of this
-    parts = ()          # sub-block attribute names of a composite, in constructor order
 
-    def __init__(self, plan=()):
+    def __init__(self, plan):
         self.plan = list(plan)  # stages and parallel groups in forward order
         self._cache = None
 
@@ -174,12 +171,11 @@ class _Block:
 
     def named_layers(self):
         """(name, layer) for every conv, linear and BN layer, in forward order."""
-        for prefix, leaf in leaves(self):
-            for st in stages(leaf.plan):
-                if st.conv is not None:
-                    yield prefix + st.name, st.conv
-                if st.bn is not None:
-                    yield prefix + st.bn_name, st.bn
+        for st in stages(self.plan):
+            if st.conv is not None:
+                yield st.name, st.conv
+            if st.bn is not None:
+                yield st.bn_name, st.bn
 
     def named_params(self):
         for name, layer in self.named_layers():
@@ -322,13 +318,10 @@ class LkFfnBlock(_Block):
         super().__init__([dw, fc1, _conv_bn("fc2", "bn2", hidden, channels, 1, **kw)])
 
 
-class DilatedConvBlock(_Block):
+class DilatedConvBlock:
     """MLDC block followed by the large-kernel FFN; shape preserving."""
 
-    parts = ("mldc", "ffn")
-
     def __init__(self, mldc: MldcBlock, ffn: LkFfnBlock):
-        super().__init__()
         self.mldc = mldc
         self.ffn = ffn
 

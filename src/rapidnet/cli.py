@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -40,10 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int_pair(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
+    fields = text.split(",")
+    if len(fields) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated ints, got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    return (int(fields[0]), int(fields[1]))
 
 
 def _positive_int(text: str) -> int:
@@ -56,11 +57,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _parse_shape(text: str) -> tuple:
     try:
-        return tuple(int(p) for p in text.split(","))
+        shape = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad shape {text!r}") from None
+        shape = ()
+    if len(shape) != 4 or min(shape) < 1:
+        raise argparse.ArgumentTypeError(f"expected N,C,H,W: four ints >= 1, got {text!r}")
+    return shape
 
 
 def _config_from_args(args) -> object:
@@ -269,9 +283,6 @@ def cmd_train_toy(args) -> int:
 def cmd_infer(args) -> int:
     model = weights_io.load(args.model)
     shape = args.shape
-    if len(shape) != 4:
-        print(f"error: --shape must be N,C,H,W, got {shape}", file=sys.stderr)
-        return USAGE_ERROR
     itemsize = np.dtype(model.dtype).itemsize
     expected = int(np.prod(shape)) * itemsize
     with open(args.input, "rb") as fh:
@@ -366,7 +377,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-toy", help="train the micro variant on synthetic blobs")
     p.add_argument("--steps", type=_positive_int, default=200)
-    p.add_argument("--lr", type=float, default=2e-3)
+    p.add_argument("--lr", type=_positive_float, default=2e-3)
     p.add_argument("--schedule", choices=("constant", "cosine"), default="cosine")
     p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--batch-size", type=_positive_int, default=None)

@@ -2,7 +2,8 @@
 
 A built model is a conv stem, four stages of blocks with downsample layers
 between them, and a classifier head.  Stages 1-2 hold inverted residual
-blocks only; stages 3-4 append dilated convolution blocks after the IRBs.
+blocks only; stages 3-4 append dilated convolution blocks after the IRBs,
+each one an MLDC block and a large-kernel FFN block in sequence.
 `build_model` writes that order down once, as the model's list of named
 blocks; forward, backward, naming, fusion and analysis all walk that list.
 Variant configurations (ti/s/m/b) follow the published architecture table;
@@ -18,7 +19,6 @@ import numpy as np
 
 from .blocks import (
     MIXER_MODES,
-    DilatedConvBlock,
     DownsampleBlock,
     HeadBlock,
     InvertedResidualBlock,
@@ -145,8 +145,9 @@ class RapidNetModel:
 
     `mode` is "train" or "eval"; eval-mode forward is pure, train-mode
     forward updates BN running statistics and records activations so that
-    `backward` can run.  Parameter names follow
-    stage{i}.{irb|dcb}{j}.<layer>.<tensor> (see `iter_params`).
+    `backward` can run.  Blocks are named stem, stage{i}.irb{j},
+    stage{i}.dcb{j}.mldc, stage{i}.dcb{j}.ffn, down{i} and head; parameter
+    names are <block>.<layer>.<tensor> (see `iter_params`).
     """
 
     def __init__(self, config: ModelConfig, blocks: List[Tuple[str, object]],
@@ -242,11 +243,12 @@ def build_model(cfg: ModelConfig, dtype="f32", *, init: bool = True) -> RapidNet
         for j in range(st.n_irb):
             blocks.append((f"stage{i}.irb{j}", InvertedResidualBlock(st.channels, **kw)))
         for j in range(st.n_dcb):
-            mldc = MldcBlock(st.channels, dilations=cfg.dilations, kernel=cfg.mixer_kernel,
-                             mixer_mode=cfg.mixer_mode, use_cpe=cfg.use_cpe,
-                             gelu_per_branch=cfg.gelu_per_branch, **kw)
-            ffn = LkFfnBlock(st.channels, large_kernel=cfg.lk_ffn, **kw)
-            blocks.append((f"stage{i}.dcb{j}", DilatedConvBlock(mldc, ffn)))
+            blocks.append((f"stage{i}.dcb{j}.mldc", MldcBlock(
+                st.channels, dilations=cfg.dilations, kernel=cfg.mixer_kernel,
+                mixer_mode=cfg.mixer_mode, use_cpe=cfg.use_cpe,
+                gelu_per_branch=cfg.gelu_per_branch, **kw)))
+            blocks.append((f"stage{i}.dcb{j}.ffn",
+                           LkFfnBlock(st.channels, large_kernel=cfg.lk_ffn, **kw)))
         if i < 4:
             blocks.append((f"down{i}", DownsampleBlock(st.channels, cfg.stages[i].channels, **kw)))
     blocks.append(("head", HeadBlock(cfg.stages[3].channels, cfg.num_classes,

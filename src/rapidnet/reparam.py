@@ -10,7 +10,8 @@ Two rewrites, both function-preserving:
 Outer block residuals wrap non-linear paths and are kept as explicit adds.
 Both rewrites act on the blocks' stage plans: a fused block is a shallow copy
 whose plan holds the folded convs with no BN and no skip.  `fuse_model` is
-the rewrite alone; `reparameterize_model` adds a seeded two-forward
+that copy mapped over the model's block list, with the fusion counts read
+off the source model; `reparameterize_model` adds a seeded two-forward
 equivalence check.  Both return a new model and leave the input model
 untouched.
 """
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .blocks import Parallel, Stage
+from .blocks import Parallel, Stage, stages
 from .errors import FusionError, ShapeError, StateError
 from .model import RapidNetModel
 from .ops import BatchNorm2d, Conv2dLayer, LinearLayer
@@ -87,36 +88,20 @@ def _clone(layer):
                        padding=layer.padding, dilation=layer.dilation, groups=layer.groups)
 
 
-class _Counter:
-    def __init__(self):
-        self.skips = 0
-        self.bns = 0
-
-    def fold(self, conv, bn: Optional[BatchNorm2d]):
-        if bn is None:
-            return _clone(conv)
-        self.bns += 1
-        return fold_bn_into_conv(conv, bn)
-
-
-def _fuse_stage(st: Stage, counter: _Counter) -> Stage:
+def _fuse_stage(st: Stage) -> Stage:
     if st.conv is None:
         return st
-    conv = st.conv
-    if st.skip:
-        conv = fuse_identity_into_dw(conv)
-        counter.skips += 1
-    return st._replace(conv=counter.fold(conv, st.bn), bn=None, skip=False)
+    conv = fuse_identity_into_dw(st.conv) if st.skip else st.conv
+    conv = _clone(conv) if st.bn is None else fold_bn_into_conv(conv, st.bn)
+    return st._replace(conv=conv, bn=None, skip=False)
 
 
-def _fuse_block(block, counter: _Counter):
+def _fuse_block(block):
     """Copy of `block` with each skip folded into its kernel and each BN into its conv."""
-    if block.parts:  # a composite is rebuilt from its fused parts
-        return type(block)(*(_fuse_block(getattr(block, p), counter) for p in block.parts))
     out = copy.copy(block)
     out._cache = None
-    out.plan = [item._replace(stages=[_fuse_stage(st, counter) for st in item.stages])
-                if isinstance(item, Parallel) else _fuse_stage(item, counter)
+    out.plan = [item._replace(stages=[_fuse_stage(st) for st in item.stages])
+                if isinstance(item, Parallel) else _fuse_stage(item)
                 for item in block.plan]
     return out
 
@@ -130,10 +115,10 @@ def fuse_model(model: RapidNetModel) -> Tuple[RapidNetModel, int, int]:
     """
     if model.mode != "eval":
         raise StateError("fusion requires an eval-mode model")
-    counter = _Counter()
-    blocks = [(name, _fuse_block(blk, counter)) for name, blk in model.named_blocks()]
+    blocks = [(name, _fuse_block(blk)) for name, blk in model.named_blocks()]
     fused = RapidNetModel(model.config, blocks, dtype=model.dtype, fused=True)
-    return fused, counter.skips, counter.bns
+    skips = sum(st.skip for _, blk in model.named_blocks() for st in stages(blk.plan))
+    return fused, skips, count_batchnorms(model)
 
 
 def reparameterize_model(model: RapidNetModel, *,

@@ -7,13 +7,11 @@ checking.  Operations here never mutate their inputs.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-
-Scalar = Union[int, float]
 
 DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
@@ -63,12 +61,6 @@ def check_shape(shape: Sequence[int]) -> tuple:
     if len(dims) == 0 or any(d < 1 for d in dims):
         raise ShapeError(f"invalid shape {tuple(shape)}: all dimensions must be >= 1")
     return dims
-
-
-def tensor_new(shape: Sequence[int], fill: Scalar = 0.0, dtype=np.float32) -> np.ndarray:
-    """Allocate a tensor of the given shape with every element set to `fill`."""
-    dims = check_shape(shape)
-    return np.full(dims, fill, dtype=resolve_dtype(dtype))
 
 
 def randn(shape: Sequence[int], rng: Rng, mean: float = 0.0, std: float = 1.0,

@@ -96,7 +96,7 @@ def save(model: RapidNetModel, path: str) -> None:
     (auto_da_alloc) a file truncated to zero and rewritten is written out to
     disk when it is closed, and the next save's truncate waits for that
     write, so repeated exports to one path ran at disk speed.  The magic goes
-    in last, so a save cut short leaves a file `load` rejects.
+    in last, so `load` rejects a file whose save was cut short.
     """
     blob = dict(model.config.to_dict())
     blob["fused"] = model.fused

@@ -139,6 +139,16 @@ class TestBench:
         assert out == ""
         assert err.startswith("error:") and "warmup" in err
 
+    @pytest.mark.parametrize("shape", ["1,2,8", "1,2,0,8", "1,2,8,8,8"])
+    def test_shape_not_four_positive_dims_exits_one(self, shape, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--case", "dilated3x3", "--shape", shape])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --shape" in err and "N,C,H,W" in err
+        assert "Traceback" not in err
+
 
 class TestTrainToy:
     def test_csv_with_decreasing_cosine_lr(self, tmp_path, capsys):
@@ -170,6 +180,15 @@ class TestTrainToy:
         assert out == ""
         assert f"error: argument {flag}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    def test_non_positive_or_non_finite_lr_exits_one(self, lr, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-toy", "--steps", "2", "--samples", "4", "--json", "--lr", lr])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --lr" in err and "Traceback" not in err
+
 
 class TestInferExport:
     @pytest.fixture
@@ -199,6 +218,18 @@ class TestInferExport:
         code, _, _ = run(["infer", "--model", str(checkpoint), "--input", str(raw),
                           "--shape", "1,3,32,32"], capsys)
         assert code == 1
+
+    def test_infer_three_dim_shape_exits_one(self, checkpoint, tmp_path, capsys):
+        raw = tmp_path / "input.bin"
+        raw.write_bytes(Rng(3).normal((1, 3, 32, 32)).astype("<f4").tobytes())
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--model", str(checkpoint), "--input", str(raw),
+                  "--shape", "3,32,32"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --shape" in err and "N,C,H,W" in err
+        assert "Traceback" not in err
 
     def test_export_fused_has_no_bn(self, checkpoint, tmp_path, capsys):
         fused_path = tmp_path / "fused.rpdn"

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import layers
 from rapidnet.analysis import count_macs, count_params
+from rapidnet.blocks import LkFfnBlock, MldcBlock
 from rapidnet.errors import ConfigError, GeometryError
 from rapidnet.model import (
     ModelConfig,
@@ -82,27 +83,41 @@ class TestBuild:
 
     def test_ti_block_counts(self):
         model = build_model(default_config("ti"))
-        irb = sum(1 for name, _ in model.named_blocks() if ".irb" in name)
-        dcb = sum(1 for name, _ in model.named_blocks() if ".dcb" in name)
-        assert irb == 2 + 2 + 6 + 2
-        assert dcb == 2 + 2
+        names = [name for name, _ in model.named_blocks()]
+        assert sum(".irb" in name for name in names) == 2 + 2 + 6 + 2
+        # each dilated conv block is two entries: its MLDC block and its FFN
+        assert sum(name.endswith(".mldc") for name in names) == 2 + 2
+        assert sum(name.endswith(".ffn") for name in names) == 2 + 2
+        assert sum(".dcb" in name for name in names) == 2 * (2 + 2)
+
+    def test_micro_block_names(self):
+        model = build_model(default_config("micro"))
+        assert [name for name, _ in model.named_blocks()] == [
+            "stem", "stage1.irb0", "down1", "stage2.irb0", "down2",
+            "stage3.irb0", "stage3.dcb0.mldc", "stage3.dcb0.ffn", "down3",
+            "stage4.irb0", "stage4.dcb0.mldc", "stage4.dcb0.ffn", "head"]
+        kinds = {name: type(blk) for name, blk in model.named_blocks()}
+        assert kinds["stage3.dcb0.mldc"] is MldcBlock
+        assert kinds["stage3.dcb0.ffn"] is LkFfnBlock
 
     def test_sldc_single_branch(self):
         cfg = replace(default_config("micro"), mixer_mode="sldc")
         model = build_model(cfg)
-        for name, blk in model.named_blocks():
-            if ".dcb" in name:
-                assert len(layers(blk, "mldc.branch_")) == 1
+        mldc = [blk for name, blk in model.named_blocks() if name.endswith(".mldc")]
+        assert len(mldc) == 2
+        for blk in mldc:
+            assert len(layers(blk, "branch_")) == 1
 
     def test_mixer_mode_structure(self):
         for mode, (k, d) in [("conv3x3", (3, 1)), ("pointwise", (1, 1))]:
             cfg = replace(default_config("micro"), mixer_mode=mode)
             model = build_model(cfg)
-            for name, blk in model.named_blocks():
-                if ".dcb" in name:
-                    (conv,) = layers(blk, "mldc.branch_")
-                    assert conv.kernel_size == k
-                    assert conv.dilation == d
+            mldc = [blk for name, blk in model.named_blocks() if name.endswith(".mldc")]
+            assert len(mldc) == 2
+            for blk in mldc:
+                (conv,) = layers(blk, "branch_")
+                assert conv.kernel_size == k
+                assert conv.dilation == d
 
     def test_invalid_dilations_rejected_by_builder(self):
         cfg = replace(default_config("micro"), dilations=(2, 2))

@@ -13,7 +13,6 @@ from rapidnet.model import build_model, default_config
 from rapidnet.ops import BatchNorm2d, Conv2dLayer, batchnorm_forward, conv2d
 from rapidnet.reparam import (
     _fuse_block,
-    _Counter,
     count_batchnorms,
     fold_bn_into_conv,
     fuse_identity_into_dw,
@@ -98,7 +97,7 @@ class TestMldcBlockEquivalence:
         for bn in [named[n] for n in ("bn_in", "bn_out", "bn_a", "bn_b")]:
             bn.running_mean[:] = rng.normal((4,), std=0.2, dtype=dtype)
             bn.running_var[:] = rng.uniform((4,), 0.5, 1.5, dtype=dtype)
-        fused = _fuse_block(block, _Counter())
+        fused = _fuse_block(block)
         x = rng.normal((1, 4, 9, 9), dtype=dtype)
         want = block.forward(x)
         got = fused.forward(x)

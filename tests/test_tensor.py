@@ -2,30 +2,7 @@ import numpy as np
 import pytest
 
 from rapidnet.errors import ShapeError
-from rapidnet.tensor import Rng, add, randn, tensor_new
-
-
-class TestTensorNew:
-    def test_fill_constructor(self):
-        t = tensor_new([1, 2, 2, 2], 0.0)
-        assert t.shape == (1, 2, 2, 2)
-        assert np.all(t == 0.0)
-
-    def test_fill_sum(self):
-        t = tensor_new([2, 3], 1.5)
-        assert float(t.sum()) == pytest.approx(9.0)
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor_new([1, 0, 2], 0.0)
-
-    def test_negative_dimension_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor_new([2, -1], 0.0)
-
-    def test_dtypes(self):
-        assert tensor_new([2], 0.0, dtype="f32").dtype == np.float32
-        assert tensor_new([2], 0.0, dtype="f64").dtype == np.float64
+from rapidnet.tensor import Rng, add, randn
 
 
 class TestRandn:
@@ -52,6 +29,18 @@ class TestRandn:
         with pytest.raises(ValueError):
             randn([4], Rng(0), std=-1.0)
 
+    def test_dtypes(self):
+        assert randn([2], Rng(0), dtype="f32").dtype == np.float32
+        assert randn([2], Rng(0), dtype="f64").dtype == np.float64
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ShapeError):
+            randn([1, 0, 2], Rng(0))
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ShapeError):
+            randn([2, -1], Rng(0))
+
 
 class TestElementwise:
     def test_additive_identity(self, rng):
@@ -75,4 +64,4 @@ class TestElementwise:
 
     def test_round_trip_with_zeros(self, rng):
         x = rng.normal((2, 5))
-        assert np.array_equal(add(tensor_new(x.shape, 0.0), x), x)
+        assert np.array_equal(add(np.zeros(x.shape, dtype=x.dtype), x), x)
