@@ -141,8 +141,7 @@ def _verify_gradients() -> List[tuple]:
     rng = Rng(7)
     results = []
 
-    def fd_err(fn, x, h=1e-5):
-        gy = rng.normal(fn(x).shape, dtype=np.float64)
+    def fd_grad(fn, x, gy, h=1e-5):
         loss = lambda t: float(np.sum(fn(t) * gy))
         g = np.zeros_like(x)
         it = np.nditer(x, flags=["multi_index"])
@@ -155,28 +154,39 @@ def _verify_gradients() -> List[tuple]:
             x[i] += h
             g[i] = (up - down) / (2 * h)
             it.iternext()
-        return g, gy
+        return g
 
-    x = rng.normal((1, 2, 6, 6), dtype=np.float64)
+    def rel_err(ana, num):
+        return float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1e-8))
+
+    # batch 2: the depthwise kernel gathers its taps across the batch
+    x = rng.normal((2, 2, 6, 6), dtype=np.float64)
     conv = Conv2dLayer.create(2, 2, 3, padding=3, dilation=3, groups=2, bias=True,
                               rng=rng, dtype=np.float64)
-    num, gy = fd_err(lambda t: conv2d(t, conv), x.copy())
-    ana = conv2d_backward(x, conv, gy).grad_input
-    err = float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1e-8))
-    results.append(("grad conv2d (dilated depthwise)", err, err < 1e-5))
+    gy = rng.normal(conv2d(x, conv).shape, dtype=np.float64)
+    r = conv2d_backward(x, conv, gy)
+    num_x = fd_grad(lambda t: conv2d(t, conv), x.copy(), gy)
+
+    def with_weight(wt):
+        conv.weight.value = wt
+        return conv2d(x, conv)
+
+    weight = conv.weight.value
+    num_w = fd_grad(with_weight, weight.copy(), gy)
+    conv.weight.value = weight
+    for part, ana, num in (("input", r.grad_input, num_x),
+                           ("weight", r.grad_params["weight"], num_w)):
+        err = rel_err(ana, num)
+        results.append((f"grad conv2d {part} (dilated depthwise, batch 2)", err, err < 1e-5))
 
     mldc = MldcBlock(2, rng=rng, dtype=np.float64)
     ffn = LkFfnBlock(2, rng=rng, dtype=np.float64)
     dcb = DilatedConvBlock(mldc, ffn)
     x = rng.normal((1, 2, 8, 8), dtype=np.float64)
-
-    def dcb_loss(t):
-        return dcb.forward(t, train=True)
-
-    num, gy = fd_err(dcb_loss, x.copy())
+    gy = rng.normal(x.shape, dtype=np.float64)
+    num = fd_grad(lambda t: dcb.forward(t, train=True), x.copy(), gy)
     dcb.forward(x, train=True)
-    ana = dcb.backward(gy)
-    err = float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1e-8))
+    err = rel_err(dcb.backward(gy), num)
     results.append(("grad dilated conv block", err, err < 1e-5))
     return results
 
@@ -221,7 +231,8 @@ def cmd_verify(args) -> int:
         conv = Conv2dLayer.create(c, c, k, stride=s, padding=int(oracle_rng.integers(0, 3)),
                                   dilation=d, groups=groups, bias=True,
                                   rng=oracle_rng, dtype=dt)
-        xin = oracle_rng.normal((1, c, h, h), dtype=dt)
+        n = int(oracle_rng.integers(1, 4))
+        xin = oracle_rng.normal((n, c, h, h), dtype=dt)
         a = conv2d(xin, conv)
         b = conv2d_naive(xin, conv)
         denom = max(float(np.max(np.abs(b))), 1e-8)
@@ -364,8 +375,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="micro-benchmarks with trimmed statistics")
     p.add_argument("--case", required=True, choices=bench.BENCH_CASES)
     p.add_argument("--shape", type=_parse_shape, default=(1, 64, 32, 32), metavar="N,C,H,W")
-    p.add_argument("--dilation", type=int, default=3)
-    p.add_argument("--kernel", type=int, default=7)
+    p.add_argument("--dilation", type=_positive_int, default=3)
+    p.add_argument("--kernel", type=_positive_int, default=7)
     p.add_argument("--variant", choices=VARIANTS, default="ti")
     p.add_argument("--fused", action="store_true")
     p.add_argument("--rounds", type=int, default=50)

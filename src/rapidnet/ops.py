@@ -2,10 +2,14 @@
 groups), batch normalization, GeLU, pooling, linear layers, and softmax
 cross-entropy.
 
-Two convolution paths exist on purpose: `conv2d` lowers to im2col plus a
-batched matrix multiply, while `conv2d_naive` is an explicit-loop reference
-used as the oracle in tests.  Backward functions recompute what they need
-from (input, layer, grad_out); there is no autograd graph.
+`conv2d` and `conv2d_backward` pick a kernel from the layer's geometry:
+pointwise (1x1, stride 1, no padding, one group) convs are plain matmuls on
+[N, C, H*W]; depthwise convs gather their taps channel-major, so each
+channel costs one BLAS call for the whole batch; every other conv lowers to
+im2col plus a batched matrix multiply.  `conv2d_naive` is an explicit-loop
+reference used as the oracle for all three in tests.  Backward functions
+recompute what they need from (input, layer, grad_out); there is no
+autograd graph.
 
 GeLU is the exact erf form for every dtype.  f64 evaluates erf with scipy;
 f32 uses a rational erf (the Eigen/XLA single-precision form, max abs error
@@ -82,8 +86,9 @@ class Conv2dLayer:
 
     def __init__(self, weight: np.ndarray, bias: Optional[np.ndarray] = None, *,
                  stride: int = 1, padding: int = 0, dilation: int = 1, groups: int = 1):
-        if weight.ndim != 4 or weight.shape[2] != weight.shape[3]:
-            raise ShapeError(f"conv weight must be [out, in/groups, k, k], got {weight.shape}")
+        if weight.ndim != 4 or weight.shape[2] != weight.shape[3] or weight.shape[2] < 1:
+            raise ShapeError(f"conv weight must be [out, in/groups, k, k] with k >= 1, "
+                             f"got {weight.shape}")
         if stride < 1 or dilation < 1 or groups < 1 or padding < 0:
             raise ValueError("stride/dilation/groups must be >= 1 and padding >= 0")
         out_channels = weight.shape[0]
@@ -107,6 +112,8 @@ class Conv2dLayer:
         """He-normal (fan-out) initialized layer; zero weights when rng is None."""
         if in_channels % groups != 0:
             raise ShapeError(f"groups={groups} must divide in_channels={in_channels}")
+        if kernel_size < 1:
+            raise ShapeError(f"kernel_size must be >= 1, got {kernel_size}")
         shape = (out_channels, in_channels // groups, kernel_size, kernel_size)
         if rng is None:
             w = np.zeros(shape, dtype=dtype)
@@ -243,48 +250,91 @@ def _check_conv_input(x: np.ndarray, conv: Conv2dLayer) -> None:
         raise ShapeError(f"input has {x.shape[1]} channels, layer expects {conv.in_channels}")
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int, dilation: int,
-            oh: int, ow: int) -> np.ndarray:
-    """Gather kernel taps into [N, C, k, k, oh, ow]; out-of-bounds taps are zero."""
+def _conv_kind(conv: Conv2dLayer) -> str:
+    """Which kernel `conv2d`/`conv2d_backward` run: "pointwise", "depthwise" or "im2col"."""
+    if conv.kernel_size == 1 and conv.stride == 1 and conv.padding == 0 and conv.groups == 1:
+        return "pointwise"
+    if 1 < conv.groups == conv.in_channels == conv.out_channels:
+        return "depthwise"
+    return "im2col"
+
+
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    """[N, C, ...] -> [C, N * ...]; a view when N == 1, a copy otherwise."""
+    return a.swapaxes(0, 1).reshape(a.shape[1], -1)
+
+
+def _im2col(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int,
+            channel_major: bool = False) -> np.ndarray:
+    """Gather kernel taps into [N, C, k, k, oh, ow]; out-of-bounds taps are zero.
+
+    With `channel_major` the result is [C, k, k, N, oh, ow]: one
+    [k*k, N*oh*ow] matrix per channel, the depthwise layout.
+    """
     n, c, _, _ = x.shape
+    k, stride, padding, dilation = conv.kernel_size, conv.stride, conv.padding, conv.dilation
+    if channel_major:
+        x = x.swapaxes(0, 1)
+        col = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
+        taps = col.transpose(0, 3, 1, 2, 4, 5)
+    else:
+        col = taps = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    col = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
     for i in range(k):
         i0 = i * dilation
         for j in range(k):
             j0 = j * dilation
-            col[:, :, i, j] = x[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride]
+            taps[:, :, i, j] = x[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride]
     return col
 
 
-def _col2im(col: np.ndarray, h: int, w: int, stride: int, padding: int,
-            dilation: int) -> np.ndarray:
-    """Scatter-add [N, C, k, k, oh, ow] tap gradients back onto the input plane."""
-    n, c, k, _, oh, ow = col.shape
+def _col2im(tap, shape: Tuple[int, ...], dtype, conv: Conv2dLayer, oh: int,
+            ow: int) -> np.ndarray:
+    """Scatter-add tap gradients onto a zero input plane of `shape` [N, C, h, w].
+
+    `tap(i, j)` is the [N, C, oh, ow] gradient that kernel tap (i, j) sends
+    back to the input pixels it read.
+    """
+    n, c, h, w = shape
+    k, stride, padding, dilation = conv.kernel_size, conv.stride, conv.padding, conv.dilation
     # slack rows/cols keep the strided slices in bounds; cropped afterwards
     img = np.zeros((n, c, h + 2 * padding + stride, w + 2 * padding + stride),
-                   dtype=col.dtype)
+                   dtype=dtype)
     for i in range(k):
         i0 = i * dilation
         for j in range(k):
             j0 = j * dilation
-            img[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride] += col[:, :, i, j]
+            img[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride] += tap(i, j)
     return img[:, :, padding:padding + h, padding:padding + w]
 
 
 def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
-    """Optimized convolution: im2col + batched matmul. Zero padding."""
+    """Optimized convolution, dispatched on the layer's geometry. Zero padding.
+
+    A pointwise conv (1x1, stride 1, no padding, one group) is one matmul on
+    `x` viewed as [N, C, H*W].  A depthwise conv gathers its taps channel-major
+    and runs one [1, k*k] @ [k*k, N*oh*ow] product per channel.  Every other
+    conv (dense, dilated, strided, grouped) is im2col plus a batched matmul.
+    """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
     oh, ow = out_shape(h, w, conv)
     k, g = conv.kernel_size, conv.groups
-    cg = c // g
-    og = conv.out_channels // g
-    col = _im2col(x, k, conv.stride, conv.padding, conv.dilation, oh, ow)
-    col = col.reshape(n, g, cg * k * k, oh * ow)
-    wmat = conv.weight.value.reshape(g, og, cg * k * k)
-    out = np.matmul(wmat, col).reshape(n, conv.out_channels, oh, ow)
+    o = conv.out_channels
+    wv = conv.weight.value
+    kind = _conv_kind(conv)
+    if kind == "pointwise":
+        out = np.matmul(wv.reshape(o, c), x.reshape(n, c, h * w))
+    elif kind == "depthwise":
+        col = _im2col(x, conv, oh, ow, channel_major=True)
+        out = np.matmul(wv.reshape(c, 1, k * k), col.reshape(c, k * k, n * oh * ow))
+        out = np.ascontiguousarray(out.reshape(c, n, oh, ow).swapaxes(0, 1))
+    else:
+        cg = c // g
+        col = _im2col(x, conv, oh, ow).reshape(n, g, cg * k * k, oh * ow)
+        out = np.matmul(wv.reshape(g, o // g, cg * k * k), col)
+    out = out.reshape(n, o, oh, ow)
     if conv.bias is not None:
         out += conv.bias.value[None, :, None, None]
     return out
@@ -324,7 +374,14 @@ def conv2d_naive(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
 
 
 def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> GradResult:
-    """Gradients of sum(grad_out * conv2d(x)) w.r.t. input, weight, and bias."""
+    """Gradients of sum(grad_out * conv2d(x)) w.r.t. input, weight, and bias.
+
+    Dispatched like `conv2d`.  Pointwise: grad_x = W^T @ grad_out per image
+    and grad_w one contraction over (image, pixel).  Depthwise: grad_w is one
+    product per channel over the channel-major taps, and grad_x adds
+    grad_out * w[:, tap] into the input plane once per tap.  Otherwise the
+    im2col columns give grad_w and col2im scatters W^T @ grad_out back.
+    """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
     oh, ow = out_shape(h, w, conv)
@@ -332,21 +389,31 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != {(n, conv.out_channels, oh, ow)}")
     k, g = conv.kernel_size, conv.groups
-    cg = c // g
-    og = conv.out_channels // g
-    col = _im2col(x, k, conv.stride, conv.padding, conv.dilation, oh, ow)
-    col = col.reshape(n, g, cg * k * k, oh * ow)
-    go = grad_out.reshape(n, g, og, oh * ow)
-
-    grad_w = np.matmul(go, col.transpose(0, 1, 3, 2)).sum(axis=0)
+    o = conv.out_channels
+    wv = conv.weight.value
+    dtype = np.result_type(wv, grad_out)
+    kind = _conv_kind(conv)
+    if kind == "pointwise":
+        go = grad_out.reshape(n, o, h * w)
+        grad_w = _channel_major(go) @ _channel_major(x).T
+        grad_x = np.matmul(wv.reshape(o, c).T, go).reshape(x.shape)
+    elif kind == "depthwise":
+        col = _im2col(x, conv, oh, ow, channel_major=True)
+        go = _channel_major(grad_out).reshape(c, 1, n * oh * ow)
+        grad_w = np.matmul(go, col.reshape(c, k * k, n * oh * ow).swapaxes(1, 2))
+        taps = wv.reshape(c, k, k)[:, :, :, None, None]
+        grad_x = _col2im(lambda i, j: grad_out * taps[:, i, j], x.shape, dtype, conv, oh, ow)
+    else:
+        cg = c // g
+        col = _im2col(x, conv, oh, ow).reshape(n, g, cg * k * k, oh * ow)
+        go = grad_out.reshape(n, g, o // g, oh * ow)
+        grad_w = np.matmul(go, col.transpose(0, 1, 3, 2)).sum(axis=0)
+        gcol = np.matmul(wv.reshape(g, o // g, cg * k * k).transpose(0, 2, 1), go)
+        gcol = gcol.reshape(n, c, k, k, oh, ow)
+        grad_x = _col2im(lambda i, j: gcol[:, :, i, j], x.shape, dtype, conv, oh, ow)
     grads = {"weight": grad_w.reshape(conv.weight.shape)}
     if conv.bias is not None:
         grads["bias"] = grad_out.sum(axis=(0, 2, 3))
-
-    wmat = conv.weight.value.reshape(g, og, cg * k * k)
-    gcol = np.matmul(wmat.transpose(0, 2, 1), go)
-    gcol = gcol.reshape(n, c, k, k, oh, ow)
-    grad_x = _col2im(gcol, h, w, conv.stride, conv.padding, conv.dilation)
     return GradResult(grad_x, grads)
 
 
@@ -463,9 +530,16 @@ def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), chained with grad_out."""
     if grad_out.shape != x.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
+    # grad_out * (cdf + x * pdf) with the same roundings, built in two arrays
     cdf = _normal_cdf(x)
-    pdf = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT_2PI)
-    return grad_out * (cdf + x * pdf)
+    pdf = np.multiply(x, -0.5)
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    pdf *= x.dtype.type(_INV_SQRT_2PI)
+    pdf *= x
+    cdf += pdf
+    cdf *= grad_out
+    return cdf
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -149,6 +149,18 @@ class TestBench:
         assert "error: argument --shape" in err and "N,C,H,W" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case, flag", [("dense_kxk", "--kernel"),
+                                            ("dilated3x3", "--dilation")])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_kernel_or_dilation_exits_one(self, case, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--case", case, "--shape", "1,2,8,8", flag, value])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument {flag}: must be >= 1" in err
+        assert "Traceback" not in err
+
 
 class TestTrainToy:
     def test_csv_with_decreasing_cosine_lr(self, tmp_path, capsys):

@@ -63,13 +63,17 @@ class TestConvBackward:
         dict(k=5, stride=1, padding=4, dilation=2, groups=2),
         dict(k=1, stride=1, padding=0, dilation=1, groups=1),
         dict(k=7, stride=2, padding=3, dilation=1, groups=4),
+        dict(k=7, stride=1, padding=3, dilation=1, groups=4),   # CPE / LK-FFN depthwise
+        dict(k=3, stride=1, padding=1, dilation=1, groups=4, bias=False),
+        dict(k=1, stride=1, padding=0, dilation=1, groups=1, c_out=6),
     ])
     def test_matches_finite_differences(self, kw):
         rng = Rng(5)
         c = 4
-        conv = Conv2dLayer.create(c, c, kw["k"], stride=kw["stride"], padding=kw["padding"],
-                                  dilation=kw["dilation"], groups=kw["groups"],
-                                  bias=True, rng=rng, dtype=F64)
+        bias = kw.get("bias", True)
+        conv = Conv2dLayer.create(c, kw.get("c_out", c), kw["k"], stride=kw["stride"],
+                                  padding=kw["padding"], dilation=kw["dilation"],
+                                  groups=kw["groups"], bias=bias, rng=rng, dtype=F64)
         x = rng.normal((2, c, 8, 8), dtype=F64)
         gy = rng.normal(conv2d(x, conv).shape, dtype=F64)
         r = conv2d_backward(x, conv, gy)
@@ -86,7 +90,10 @@ class TestConvBackward:
 
         num_w = fd_grad(loss_w, conv.weight.value.copy())
         assert rel_err(r.grad_params["weight"], num_w) < TOL
-        assert np.allclose(r.grad_params["bias"], gy.sum(axis=(0, 2, 3)))
+        if bias:
+            assert np.allclose(r.grad_params["bias"], gy.sum(axis=(0, 2, 3)))
+        else:
+            assert "bias" not in r.grad_params
 
 
 class TestBatchNormBackward:

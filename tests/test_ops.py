@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -17,6 +17,7 @@ from rapidnet.ops import (
     batchnorm_backward,
     batchnorm_forward,
     conv2d,
+    conv2d_backward,
     conv2d_naive,
     gelu,
     gelu_backward,
@@ -30,6 +31,34 @@ from rapidnet.tensor import Rng
 
 def make_conv(c_in, c_out, k, rng=None, **kw):
     return Conv2dLayer.create(c_in, c_out, k, rng=rng, **kw)
+
+
+# Conv geometries for the property tests: kernel, dilation, stride, padding,
+# channels, depthwise or dense, bias, and a few rows/cols past the smallest input.
+CONV_SPACE = dict(k=st.sampled_from([1, 3, 5, 7]), d=st.integers(1, 3), s=st.integers(1, 2),
+                  p=st.integers(0, 3), c=st.integers(1, 3), c_out=st.integers(1, 3),
+                  depthwise=st.booleans(), bias=st.booleans(), extra_h=st.integers(0, 3),
+                  extra_w=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+
+# Draws that always reach the pointwise and depthwise kernels of conv2d.
+POINTWISE = dict(k=1, d=1, s=1, p=0, c=3, c_out=2, depthwise=False, bias=True,
+                 extra_h=1, extra_w=2, seed=1)
+DEPTHWISE = dict(k=3, d=1, s=1, p=1, c=3, c_out=3, depthwise=True, bias=False,
+                 extra_h=2, extra_w=1, seed=2)
+
+
+def drawn_conv(n, k, d, s, p, c, c_out, depthwise, bias, extra_h, extra_w, seed):
+    """An f64 layer and input for one draw of CONV_SPACE at batch n."""
+    # smallest input that leaves a valid output, plus a few rows/cols
+    floor = max(1, (k - 1) * d + 1 - 2 * p)
+    h, w = floor + extra_h, floor + extra_w
+    groups, c_out = (c, c) if depthwise else (1, c_out)
+    rng = Rng(seed)
+    conv = make_conv(c, c_out, k, stride=s, padding=p, dilation=d, groups=groups,
+                     bias=bias, rng=rng, dtype=np.float64)
+    if bias:
+        conv.bias.value[:] = rng.normal((c_out,), dtype=np.float64)
+    return conv, rng.normal((n, c, h, w), dtype=np.float64)
 
 
 class TestOutShape:
@@ -142,24 +171,58 @@ class TestConvOracle:
                 f"trial {trial}: k={k} d={d} s={s} p={p} c={c} g={groups} h={h}")
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(k=st.sampled_from([1, 3, 5, 7]), d=st.integers(1, 3), s=st.integers(1, 2),
-           p=st.integers(0, 3), c=st.integers(1, 3), c_out=st.integers(1, 3),
-           depthwise=st.booleans(), bias=st.booleans(), n=st.integers(1, 2),
-           extra_h=st.integers(0, 3), extra_w=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
-    def test_property_matches_naive(self, k, d, s, p, c, c_out, depthwise, bias, n,
-                                    extra_h, extra_w, seed):
-        # smallest input that leaves a valid output, plus a few rows/cols
-        floor = max(1, (k - 1) * d + 1 - 2 * p)
-        h, w = floor + extra_h, floor + extra_w
-        groups, c_out = (c, c) if depthwise else (1, c_out)
-        rng = Rng(seed)
-        conv = make_conv(c, c_out, k, stride=s, padding=p, dilation=d, groups=groups,
-                         bias=bias, rng=rng, dtype=np.float64)
-        if bias:
-            conv.bias.value[:] = rng.normal((c_out,), dtype=np.float64)
-        x = rng.normal((n, c, h, w), dtype=np.float64)
+    @given(n=st.integers(1, 2), **CONV_SPACE)
+    @example(n=2, **POINTWISE)
+    @example(n=2, **DEPTHWISE)
+    def test_property_matches_naive(self, n, **space):
+        conv, x = drawn_conv(n, **space)
         assert x.dtype == conv.weight.value.dtype == np.float64
         assert rel_err(conv2d(x, conv), conv2d_naive(x, conv)) < 1e-5
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(1, 3), **CONV_SPACE)
+    @example(n=3, **POINTWISE)
+    @example(n=3, **DEPTHWISE)
+    def test_property_backward_adjoint(self, n, **space):
+        # with the bias removed the conv is bilinear in (x, w), so for any gy
+        # sum(naive(x) * gy) == sum(x * grad_x) == sum(w * grad_w)
+        conv, x = drawn_conv(n, **space)
+        y = conv2d_naive(x, conv)
+        if conv.bias is not None:
+            y -= conv.bias.value[None, :, None, None]
+        gy = Rng(space["seed"] + 1).normal(y.shape, dtype=np.float64)
+        r = conv2d_backward(x, conv, gy)
+        scale = float(np.sum(np.abs(y * gy)))
+        want = float(np.sum(y * gy))
+        assert abs(float(np.sum(x * r.grad_input)) - want) <= 1e-10 * scale
+        assert abs(float(np.sum(conv.weight.value * r.grad_params["weight"])) - want) \
+            <= 1e-10 * scale
+        if conv.bias is not None:
+            assert np.allclose(r.grad_params["bias"], gy.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+
+class TestConvDispatch:
+    @pytest.mark.parametrize("c_in, c_out, k, kw, kind", [
+        (8, 32, 1, {}, "pointwise"),
+        (8, 8, 1, dict(groups=8), "depthwise"),
+        (8, 8, 7, dict(padding=3, groups=8), "depthwise"),
+        (8, 8, 3, dict(stride=2, padding=1, groups=8), "depthwise"),
+        (8, 8, 1, dict(stride=2), "im2col"),
+        (8, 8, 1, dict(padding=1), "im2col"),
+        (8, 8, 3, dict(padding=2, dilation=2), "im2col"),
+        (8, 16, 3, dict(groups=8), "im2col"),
+        (8, 8, 3, dict(groups=2), "im2col"),
+        (1, 1, 3, {}, "im2col"),
+    ])
+    def test_kind_from_geometry(self, c_in, c_out, k, kw, kind):
+        assert ops._conv_kind(make_conv(c_in, c_out, k, **kw)) == kind
+
+    def test_kernel_size_below_one_rejected(self):
+        for k in (0, -3):
+            with pytest.raises(ShapeError):
+                make_conv(4, 4, k)
+        with pytest.raises(ShapeError):
+            Conv2dLayer(np.zeros((2, 2, 0, 0), dtype=np.float32))
 
 
 class TestBatchNorm:
@@ -328,6 +391,22 @@ class TestGeluF32:
         gelu(x)
         gelu_backward(x, g)
         assert np.array_equal(x, x0) and np.array_equal(g, g0)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (7, 5), (2, 3, 5, 7), (ops._ERF_F32_BLOCK + 3,)])
+    def test_backward_bitwise_as_written_out(self, rng, dt, shape):
+        # gelu_backward works in place on Phi(x); pin it to the plain formula
+        x = rng.normal(shape, std=3.0, dtype=dt)
+        m = min(x.size, len(SPECIAL))
+        x.reshape(-1)[:m] = SPECIAL[:m]
+        g = rng.normal(shape, dtype=dt)
+        x0, g0 = x.copy(), g.copy()
+        with np.errstate(invalid="ignore"):
+            pdf = np.exp(-0.5 * x * x) * x.dtype.type(1.0 / math.sqrt(2.0 * math.pi))
+            want = g * (ops._normal_cdf(x) + x * pdf)
+            got = gelu_backward(x, g)
+        assert same_bits(got, want)
+        assert same_bits(x, x0) and same_bits(g, g0)
 
     def test_layout_and_block_edges_do_not_matter(self, rng):
         # a transposed view, and a size that is not a multiple of the block
