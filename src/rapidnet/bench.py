@@ -27,7 +27,7 @@ from .ops import Conv2dLayer, conv2d
 from .reparam import reparameterize_model
 from .tensor import Rng
 
-BENCH_CASES = ("dilated3x3", "dense_kxk", "mldc_block", "pw_mixer", "model")
+BENCH_CASES = ("dilated3x3", "dense_kxk", "depthwise", "mldc_block", "pw_mixer", "model")
 
 
 @dataclass
@@ -117,7 +117,8 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
 
     `shape` is the input (N, C, H, W); for the "model" case C must be 3 and
     H, W divisible by 32.  Cases: "dilated3x3" (dense 3x3 conv at the given
-    dilation), "dense_kxk" (dense k x k conv), "mldc_block", "pw_mixer"
+    dilation), "dense_kxk" (dense k x k conv), "depthwise" (k x k depthwise
+    conv at the given dilation, C >= 2), "mldc_block", "pw_mixer"
     (MLDC block with a pointwise mixer), "model" (full variant forward,
     optionally reparameterized).  The result's `threads` is what OpenBLAS
     reports it uses; the harness itself does not alter numpy's threading.
@@ -141,6 +142,14 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
         macs = conv_macs(conv, h, w, n)
         fn = lambda: conv2d(x, conv)
         label = f"dense_{kernel}x{kernel}"
+    elif case == "depthwise":
+        if c < 2:
+            raise ValueError(f"depthwise case needs C >= 2 channels, got {shape}")
+        conv = Conv2dLayer.create(c, c, kernel, padding=dilation * (kernel - 1) // 2,
+                                  dilation=dilation, groups=c, rng=rng, dtype=np.float32)
+        macs = conv_macs(conv, h, w, n)
+        fn = lambda: conv2d(x, conv)
+        label = f"depthwise_{kernel}x{kernel}(d={dilation})"
     elif case in ("mldc_block", "pw_mixer"):
         mode = "mldc" if case == "mldc_block" else "pointwise"
         block = MldcBlock(c, mixer_mode=mode, rng=rng, dtype=np.float32)

@@ -159,25 +159,29 @@ def _verify_gradients() -> List[tuple]:
     def rel_err(ana, num):
         return float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1e-8))
 
-    # batch 2: the depthwise kernel gathers its taps across the batch
-    x = rng.normal((2, 2, 6, 6), dtype=np.float64)
-    conv = Conv2dLayer.create(2, 2, 3, padding=3, dilation=3, groups=2, bias=True,
-                              rng=rng, dtype=np.float64)
-    gy = rng.normal(conv2d(x, conv).shape, dtype=np.float64)
-    r = conv2d_backward(x, conv, gy)
-    num_x = fd_grad(lambda t: conv2d(t, conv), x.copy(), gy)
+    # batch 2, so the depthwise kernel's plane blocks span two images.  The
+    # 7x7 pad-3 conv on a 2x2 map is micro's stage-3 geometry: 40 of its 49
+    # taps read only padding and are skipped.
+    for geometry, k, pad, dil, size in (("dilated depthwise", 3, 3, 3, 6),
+                                        ("7x7 depthwise on 2x2", 7, 3, 1, 2)):
+        x = rng.normal((2, 2, size, size), dtype=np.float64)
+        conv = Conv2dLayer.create(2, 2, k, padding=pad, dilation=dil, groups=2, bias=True,
+                                  rng=rng, dtype=np.float64)
+        gy = rng.normal(conv2d(x, conv).shape, dtype=np.float64)
+        r = conv2d_backward(x, conv, gy)
+        num_x = fd_grad(lambda t: conv2d(t, conv), x.copy(), gy)
 
-    def with_weight(wt):
-        conv.weight.value = wt
-        return conv2d(x, conv)
+        def with_weight(wt):
+            conv.weight.value = wt
+            return conv2d(x, conv)
 
-    weight = conv.weight.value
-    num_w = fd_grad(with_weight, weight.copy(), gy)
-    conv.weight.value = weight
-    for part, ana, num in (("input", r.grad_input, num_x),
-                           ("weight", r.grad_params["weight"], num_w)):
-        err = rel_err(ana, num)
-        results.append((f"grad conv2d {part} (dilated depthwise, batch 2)", err, err < 1e-5))
+        weight = conv.weight.value
+        num_w = fd_grad(with_weight, weight.copy(), gy)
+        conv.weight.value = weight
+        for part, ana, num in (("input", r.grad_input, num_x),
+                               ("weight", r.grad_params["weight"], num_w)):
+            err = rel_err(ana, num)
+            results.append((f"grad conv2d {part} ({geometry}, batch 2)", err, err < 1e-5))
 
     mldc = MldcBlock(2, rng=rng, dtype=np.float64)
     ffn = LkFfnBlock(2, rng=rng, dtype=np.float64)

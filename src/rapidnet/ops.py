@@ -4,9 +4,10 @@ cross-entropy.
 
 `conv2d` and `conv2d_backward` pick a kernel from the layer's geometry:
 pointwise (1x1, stride 1, no padding, one group) convs are plain matmuls on
-[N, C, H*W]; depthwise convs gather their taps channel-major, so each
-channel costs one BLAS call for the whole batch; every other conv lowers to
-im2col plus a batched matrix multiply.  `conv2d_naive` is an explicit-loop
+[N, C, H*W]; depthwise convs run directly, without a column, over blocks of
+(image, channel) planes small enough that every per-tap pass stays in cache,
+and skip the taps that read only padding; every other conv lowers to im2col
+plus a batched matrix multiply.  `conv2d_naive` is an explicit-loop
 reference used as the oracle for all three in tests.  Backward functions
 recompute what they need from (input, layer, grad_out); there is no
 autograd graph.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf
@@ -42,6 +43,10 @@ _ERF_F32_DEN = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.682826
 # Elements per block of the f32 erf: a block's three f32 buffers stay in L2,
 # so the ~20 in-place passes do not stream the whole tensor from memory.
 _ERF_F32_BLOCK = 1 << 16
+# Bytes of zero-padded input per block of the direct depthwise conv; the
+# block's accumulator and tap product are about as large, so the 2*k*k
+# per-tap passes stay in L2 as well.
+_DW_BLOCK_BYTES = 1 << 18
 
 
 class Param:
@@ -264,58 +269,149 @@ def _channel_major(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(0, 1).reshape(a.shape[1], -1)
 
 
-def _im2col(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int,
-            channel_major: bool = False) -> np.ndarray:
-    """Gather kernel taps into [N, C, k, k, oh, ow]; out-of-bounds taps are zero.
-
-    With `channel_major` the result is [C, k, k, N, oh, ow]: one
-    [k*k, N*oh*ow] matrix per channel, the depthwise layout.
-    """
+def _im2col(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
+    """Gather kernel taps into [N, C, k, k, oh, ow]; out-of-bounds taps are zero."""
     n, c, _, _ = x.shape
     k, stride, padding, dilation = conv.kernel_size, conv.stride, conv.padding, conv.dilation
-    if channel_major:
-        x = x.swapaxes(0, 1)
-        col = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
-        taps = col.transpose(0, 3, 1, 2, 4, 5)
-    else:
-        col = taps = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    col = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
     if padding > 0:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     for i in range(k):
         i0 = i * dilation
         for j in range(k):
             j0 = j * dilation
-            taps[:, :, i, j] = x[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride]
+            col[:, :, i, j] = x[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride]
     return col
 
 
-def _col2im(tap, shape: Tuple[int, ...], dtype, conv: Conv2dLayer, oh: int,
+def _col2im(gcol: np.ndarray, shape: Tuple[int, ...], conv: Conv2dLayer, oh: int,
             ow: int) -> np.ndarray:
-    """Scatter-add tap gradients onto a zero input plane of `shape` [N, C, h, w].
-
-    `tap(i, j)` is the [N, C, oh, ow] gradient that kernel tap (i, j) sends
-    back to the input pixels it read.
-    """
+    """Scatter-add a [N, C, k, k, oh, ow] column onto a zero input plane of `shape`."""
     n, c, h, w = shape
     k, stride, padding, dilation = conv.kernel_size, conv.stride, conv.padding, conv.dilation
     # slack rows/cols keep the strided slices in bounds; cropped afterwards
     img = np.zeros((n, c, h + 2 * padding + stride, w + 2 * padding + stride),
-                   dtype=dtype)
+                   dtype=gcol.dtype)
     for i in range(k):
         i0 = i * dilation
         for j in range(k):
             j0 = j * dilation
-            img[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride] += tap(i, j)
+            img[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride] += gcol[:, :, i, j]
     return img[:, :, padding:padding + h, padding:padding + w]
+
+
+def _live_taps(k: int, dilation: int, stride: int, padding: int, size: int,
+               out: int) -> List[int]:
+    """Kernel offsets along one axis whose window reads at least one input pixel.
+
+    Offset i reads input coordinates i*dilation - padding + stride*y for
+    outputs y < out.  The other taps read only padding: `conv2d_naive`
+    never multiplies them, so skipping them is exact.
+    """
+    live = []
+    for i in range(k):
+        first = i * dilation - padding
+        y = max(0, -(first // stride))  # first output reading a coordinate >= 0
+        if y < out and first + stride * y < size:
+            live.append(i)
+    return live
+
+
+def _depthwise_plan(x: np.ndarray, conv: Conv2dLayer, oh: int,
+                    ow: int) -> Tuple[int, int, int, List[Tuple[int, int]]]:
+    """(hp, wp, planes per block, live (tap, flat offset) pairs) of the direct depthwise kernel.
+
+    Each (image, channel) plane is zero-padded to [hp, wp], wp = w + 2p.
+    Output (y, x) of tap (i, j) then reads flat index s*(y*wp + x) + offset,
+    offset = (i*wp + j)*d, so one tap over a plane is one slice of oh*wp
+    elements at step s; the wp - ow columns past the output are cropped.  The
+    s slack rows keep the last slice in bounds.
+    """
+    n, c, h, w = x.shape
+    k, s, p, d = conv.kernel_size, conv.stride, conv.padding, conv.dilation
+    hp, wp = h + 2 * p + s, w + 2 * p
+    per_block = max(1, min(n * c, _DW_BLOCK_BYTES // (hp * wp * x.itemsize)))
+    taps = [(i * k + j, (i * wp + j) * d)
+            for i in _live_taps(k, d, s, p, h, oh) for j in _live_taps(k, d, s, p, w, ow)]
+    return hp, wp, per_block, taps
+
+
+def _padded_blocks(x: np.ndarray, padding: int, hp: int, wp: int,
+                   per_block: int) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, flat): planes lo:hi of x as [hi - lo, hp*wp], zero-padded.
+
+    Every block is copied into the same buffer, whose padding stays zero.
+    """
+    n, c, h, w = x.shape
+    planes = x.reshape(n * c, h, w)
+    buf = np.zeros((per_block, hp, wp), dtype=x.dtype)
+    for lo in range(0, n * c, per_block):
+        hi = min(n * c, lo + per_block)
+        buf[:hi - lo, padding:padding + h, padding:padding + w] = planes[lo:hi]
+        yield lo, hi, buf[:hi - lo].reshape(hi - lo, hp * wp)
+
+
+def _depthwise_conv(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
+    """Depthwise conv without bias, one cache-sized block of planes at a time."""
+    n, c, _, _ = x.shape
+    s = conv.stride
+    hp, wp, per_block, taps = _depthwise_plan(x, conv, oh, ow)
+    span = oh * wp
+    wt = np.tile(conv.weight.value.reshape(c, -1), (n, 1))  # [N*C, k*k]: plane -> weights
+    dtype = np.result_type(x, wt)
+    out = np.empty((n * c, oh, ow), dtype=dtype)
+    acc = np.zeros((per_block, span), dtype=dtype)  # stays zero if no tap is live
+    tmp = np.empty_like(acc)
+    for lo, hi, flat in _padded_blocks(x, conv.padding, hp, wp, per_block):
+        a, t = acc[:hi - lo], tmp[:hi - lo]
+        for pos, (tap, off) in enumerate(taps):  # tap 0 writes the accumulator, the rest add
+            np.multiply(flat[:, off:off + s * span:s], wt[lo:hi, tap, None],
+                        out=t if pos else a)
+            if pos:
+                a += t
+        out[lo:hi] = a.reshape(-1, oh, wp)[:, :, :ow]
+    return out.reshape(n, c, oh, ow)
+
+
+def _depthwise_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray,
+                             oh: int, ow: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(grad_x, grad_w) of `_depthwise_conv`, over the same blocks and tap slices."""
+    n, c, h, w = x.shape
+    s, p = conv.stride, conv.padding
+    hp, wp, per_block, taps = _depthwise_plan(x, conv, oh, ow)
+    span = oh * wp
+    wt = np.tile(conv.weight.value.reshape(c, -1), (n, 1))
+    dtype = np.result_type(wt, grad_out)
+    go_planes = grad_out.reshape(n * c, oh, ow)
+    go_buf = np.zeros((per_block, oh, wp), dtype=dtype)  # columns past ow stay zero
+    gx_buf = np.empty((per_block, hp, wp), dtype=dtype)
+    tmp = np.empty((per_block, span), dtype=dtype)
+    grad_w = np.zeros(wt.shape, dtype=dtype)
+    grad_x = np.empty((n * c, h, w), dtype=dtype)
+    for lo, hi, flat in _padded_blocks(x, p, hp, wp, per_block):
+        go_buf[:hi - lo, :, :ow] = go_planes[lo:hi]
+        go = go_buf[:hi - lo].reshape(-1, span)
+        gx, t = gx_buf[:hi - lo], tmp[:hi - lo]
+        gx.fill(0)
+        gx_flat = gx.reshape(-1, hp * wp)
+        for tap, off in taps:
+            window = slice(off, off + s * span, s)
+            grad_w[lo:hi, tap] = np.einsum("ql,ql->q", flat[:, window], go)
+            np.multiply(go, wt[lo:hi, tap, None], out=t)
+            gx_flat[:, window] += t
+        grad_x[lo:hi] = gx[:, p:p + h, p:p + w]
+    return grad_x.reshape(x.shape), grad_w.reshape(n, c, -1).sum(axis=0)
 
 
 def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
     """Optimized convolution, dispatched on the layer's geometry. Zero padding.
 
     A pointwise conv (1x1, stride 1, no padding, one group) is one matmul on
-    `x` viewed as [N, C, H*W].  A depthwise conv gathers its taps channel-major
-    and runs one [1, k*k] @ [k*k, N*oh*ow] product per channel.  Every other
-    conv (dense, dilated, strided, grouped) is im2col plus a batched matmul.
+    `x` viewed as [N, C, H*W].  A depthwise conv is computed directly, one
+    cache-sized block of (image, channel) planes at a time: each live tap is
+    one multiply-add of a flat slice of the zero-padded block, and taps that
+    read only padding are skipped (`_depthwise_plan`).  Every other conv
+    (dense, dilated, strided, grouped) is im2col plus a batched matmul.
     """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
@@ -327,9 +423,7 @@ def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
     if kind == "pointwise":
         out = np.matmul(wv.reshape(o, c), x.reshape(n, c, h * w))
     elif kind == "depthwise":
-        col = _im2col(x, conv, oh, ow, channel_major=True)
-        out = np.matmul(wv.reshape(c, 1, k * k), col.reshape(c, k * k, n * oh * ow))
-        out = np.ascontiguousarray(out.reshape(c, n, oh, ow).swapaxes(0, 1))
+        out = _depthwise_conv(x, conv, oh, ow)
     else:
         cg = c // g
         col = _im2col(x, conv, oh, ow).reshape(n, g, cg * k * k, oh * ow)
@@ -377,10 +471,12 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     """Gradients of sum(grad_out * conv2d(x)) w.r.t. input, weight, and bias.
 
     Dispatched like `conv2d`.  Pointwise: grad_x = W^T @ grad_out per image
-    and grad_w one contraction over (image, pixel).  Depthwise: grad_w is one
-    product per channel over the channel-major taps, and grad_x adds
-    grad_out * w[:, tap] into the input plane once per tap.  Otherwise the
-    im2col columns give grad_w and col2im scatters W^T @ grad_out back.
+    and grad_w one contraction over (image, pixel).  Depthwise runs over the
+    forward's plane blocks and tap slices: grad_w[c, tap] sums the tap's
+    input slice times grad_out (zero in the cropped columns), and grad_x
+    adds grad_out * w[c, tap] into a zero-padded block once per live tap.
+    Otherwise the im2col columns give grad_w and col2im scatters W^T @
+    grad_out back.
     """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
@@ -391,26 +487,20 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     k, g = conv.kernel_size, conv.groups
     o = conv.out_channels
     wv = conv.weight.value
-    dtype = np.result_type(wv, grad_out)
     kind = _conv_kind(conv)
     if kind == "pointwise":
         go = grad_out.reshape(n, o, h * w)
         grad_w = _channel_major(go) @ _channel_major(x).T
         grad_x = np.matmul(wv.reshape(o, c).T, go).reshape(x.shape)
     elif kind == "depthwise":
-        col = _im2col(x, conv, oh, ow, channel_major=True)
-        go = _channel_major(grad_out).reshape(c, 1, n * oh * ow)
-        grad_w = np.matmul(go, col.reshape(c, k * k, n * oh * ow).swapaxes(1, 2))
-        taps = wv.reshape(c, k, k)[:, :, :, None, None]
-        grad_x = _col2im(lambda i, j: grad_out * taps[:, i, j], x.shape, dtype, conv, oh, ow)
+        grad_x, grad_w = _depthwise_conv_backward(x, conv, grad_out, oh, ow)
     else:
         cg = c // g
         col = _im2col(x, conv, oh, ow).reshape(n, g, cg * k * k, oh * ow)
         go = grad_out.reshape(n, g, o // g, oh * ow)
         grad_w = np.matmul(go, col.transpose(0, 1, 3, 2)).sum(axis=0)
         gcol = np.matmul(wv.reshape(g, o // g, cg * k * k).transpose(0, 2, 1), go)
-        gcol = gcol.reshape(n, c, k, k, oh, ow)
-        grad_x = _col2im(lambda i, j: gcol[:, :, i, j], x.shape, dtype, conv, oh, ow)
+        grad_x = _col2im(gcol.reshape(n, c, k, k, oh, ow), x.shape, conv, oh, ow)
     grads = {"weight": grad_w.reshape(conv.weight.shape)}
     if conv.bias is not None:
         grads["bias"] = grad_out.sum(axis=(0, 2, 3))

@@ -80,6 +80,18 @@ class TestBenchCase:
         model = build_model(default_config("micro"))
         assert result.macs == count_macs(model, 32)
 
+    def test_depthwise_mac_annotation(self):
+        n, c, h, w = 2, 6, 10, 10
+        for k, d in ((3, 1), (7, 1), (3, 2)):
+            result = bench_case("depthwise", (n, c, h, w), FAST, kernel=k, dilation=d)
+            conv = Conv2dLayer.create(c, c, k, padding=d * (k - 1) // 2, dilation=d, groups=c)
+            assert result.macs == conv_macs(conv, h, w, n) == n * c * h * w * k * k
+            assert result.label == f"depthwise_{k}x{k}(d={d})"
+
+    def test_depthwise_needs_two_channels(self):
+        with pytest.raises(ValueError, match="C >= 2"):
+            bench_case("depthwise", (1, 1, 8, 8), FAST, kernel=3, dilation=1)
+
     def test_pw_mixer_cheaper_than_mldc(self):
         shape = (1, 16, 10, 10)
         pw = bench_case("pw_mixer", shape, FAST)

@@ -126,6 +126,18 @@ class TestBench:
         assert data["macs"] > 0
         assert len(data["round_times_ns"]) == 4
 
+    def test_depthwise_case(self, capsys):
+        code, out, _ = run(["bench", "--case", "depthwise", "--kernel", "3", "--dilation", "2",
+                            "--shape", "2,4,8,8", "--rounds", "4", "--iters", "1",
+                            "--trim", "1", "--warmup", "0"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["label"] == "depthwise_3x3(d=2)"
+        assert data["macs"] == 2 * 4 * 8 * 8 * 9
+        code, out, err = run(["bench", "--case", "depthwise", "--shape", "1,1,8,8"], capsys)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and "C >= 2" in err
+
     def test_threads_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--case", "dilated3x3", "--threads", "4"])
@@ -150,7 +162,9 @@ class TestBench:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("case, flag", [("dense_kxk", "--kernel"),
-                                            ("dilated3x3", "--dilation")])
+                                            ("dilated3x3", "--dilation"),
+                                            ("depthwise", "--kernel"),
+                                            ("depthwise", "--dilation")])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_kernel_or_dilation_exits_one(self, case, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:

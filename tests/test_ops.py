@@ -45,6 +45,12 @@ POINTWISE = dict(k=1, d=1, s=1, p=0, c=3, c_out=2, depthwise=False, bias=True,
                  extra_h=1, extra_w=2, seed=1)
 DEPTHWISE = dict(k=3, d=1, s=1, p=1, c=3, c_out=3, depthwise=True, bias=False,
                  extra_h=2, extra_w=1, seed=2)
+# Depthwise draws the direct kernel owns: a 7x7 pad-3 conv on a 1x2 input,
+# where all but 3 of the 49 taps read only padding, and a strided dilated conv.
+DEAD_TAPS = dict(k=7, d=1, s=1, p=3, c=3, c_out=3, depthwise=True, bias=True,
+                 extra_h=0, extra_w=1, seed=3)
+STRIDED_DILATED = dict(k=3, d=2, s=2, p=2, c=3, c_out=3, depthwise=True, bias=True,
+                       extra_h=3, extra_w=2, seed=4)
 
 
 def drawn_conv(n, k, d, s, p, c, c_out, depthwise, bias, extra_h, extra_w, seed):
@@ -59,6 +65,23 @@ def drawn_conv(n, k, d, s, p, c, c_out, depthwise, bias, extra_h, extra_w, seed)
     if bias:
         conv.bias.value[:] = rng.normal((c_out,), dtype=np.float64)
     return conv, rng.normal((n, c, h, w), dtype=np.float64)
+
+
+def assert_adjoint(conv, x, seed):
+    """With the bias removed the conv is bilinear in (x, w), so for any gy
+    sum(naive(x) * gy) == sum(x * grad_x) == sum(w * grad_w); checked in f64."""
+    y = conv2d_naive(x, conv)
+    if conv.bias is not None:
+        y -= conv.bias.value[None, :, None, None]
+    gy = Rng(seed).normal(y.shape, dtype=np.float64)
+    r = conv2d_backward(x, conv, gy)
+    scale = float(np.sum(np.abs(y * gy)))
+    want = float(np.sum(y * gy))
+    assert abs(float(np.sum(x * r.grad_input)) - want) <= 1e-10 * scale
+    assert abs(float(np.sum(conv.weight.value * r.grad_params["weight"])) - want) \
+        <= 1e-10 * scale
+    if conv.bias is not None:
+        assert np.allclose(r.grad_params["bias"], gy.sum(axis=(0, 2, 3)), rtol=1e-12)
 
 
 class TestOutShape:
@@ -174,6 +197,8 @@ class TestConvOracle:
     @given(n=st.integers(1, 2), **CONV_SPACE)
     @example(n=2, **POINTWISE)
     @example(n=2, **DEPTHWISE)
+    @example(n=2, **DEAD_TAPS)
+    @example(n=2, **STRIDED_DILATED)
     def test_property_matches_naive(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert x.dtype == conv.weight.value.dtype == np.float64
@@ -183,22 +208,85 @@ class TestConvOracle:
     @given(n=st.integers(1, 3), **CONV_SPACE)
     @example(n=3, **POINTWISE)
     @example(n=3, **DEPTHWISE)
+    @example(n=3, **DEAD_TAPS)
+    @example(n=3, **STRIDED_DILATED)
     def test_property_backward_adjoint(self, n, **space):
-        # with the bias removed the conv is bilinear in (x, w), so for any gy
-        # sum(naive(x) * gy) == sum(x * grad_x) == sum(w * grad_w)
         conv, x = drawn_conv(n, **space)
-        y = conv2d_naive(x, conv)
-        if conv.bias is not None:
-            y -= conv.bias.value[None, :, None, None]
-        gy = Rng(space["seed"] + 1).normal(y.shape, dtype=np.float64)
-        r = conv2d_backward(x, conv, gy)
-        scale = float(np.sum(np.abs(y * gy)))
-        want = float(np.sum(y * gy))
-        assert abs(float(np.sum(x * r.grad_input)) - want) <= 1e-10 * scale
-        assert abs(float(np.sum(conv.weight.value * r.grad_params["weight"])) - want) \
-            <= 1e-10 * scale
-        if conv.bias is not None:
-            assert np.allclose(r.grad_params["bias"], gy.sum(axis=(0, 2, 3)), rtol=1e-12)
+        assert_adjoint(conv, x, space["seed"] + 1)
+
+
+def wide_depthwise(n, dtype):
+    """A 3x3 pad-1 depthwise conv on 2x2 maps whose n*c planes fill two blocks
+    of `ops._DW_BLOCK_BYTES` and part of a third, with the block edges falling
+    inside an image's channels."""
+    plane_bytes = (2 + 2 + 1) * (2 + 2) * np.dtype(dtype).itemsize  # [h + 2p + s, w + 2p]
+    per_block = ops._DW_BLOCK_BYTES // plane_bytes
+    c = 5 * per_block // (2 * n) + 1
+    rng = Rng(n)
+    conv = make_conv(c, c, 3, padding=1, groups=c, rng=rng, dtype=dtype)
+    conv.bias.value[:] = rng.normal((c,), dtype=dtype)
+    x = rng.normal((n, c, 2, 2), dtype=dtype)
+    # the premise: the kernel really splits the planes this way
+    _, _, planes, taps = ops._depthwise_plan(x, conv, 2, 2)
+    assert planes == per_block and len(taps) == 9
+    assert n * c // per_block == 2 and n * c % per_block and per_block % c
+    return conv, x
+
+
+def dead_tap_mask(conv, h, w):
+    """[k, k] mask of the taps that read only padding for an h x w input,
+    found by brute force over every output pixel."""
+    oh, ow = out_shape(h, w, conv)
+    k, s, p, d = conv.kernel_size, conv.stride, conv.padding, conv.dilation
+
+    def dead(i, size, out):
+        return not any(0 <= o * s - p + i * d < size for o in range(out))
+
+    return np.array([[dead(i, h, oh) or dead(j, w, ow) for j in range(k)] for i in range(k)])
+
+
+class TestDepthwiseKernel:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-5), (np.float32, 1e-4)])
+    def test_blocks_match_naive(self, n, dtype, tol):
+        conv, x = wide_depthwise(n, dtype)
+        out = conv2d(x, conv)
+        assert out.dtype == dtype
+        assert rel_err(out, conv2d_naive(x, conv)) < tol
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_blocks_backward_adjoint(self, n):
+        conv, x = wide_depthwise(n, np.float64)
+        assert_adjoint(conv, x, seed=n + 1)
+
+    @pytest.mark.parametrize("n, h, w, k, kw, n_dead", [
+        (2, 2, 2, 7, dict(padding=3), 40),                        # micro's stage-3 7x7
+        (1, 1, 2, 7, dict(padding=3), 46),
+        (2, 1, 1, 3, dict(padding=3, dilation=3), 8),             # dilation 3 on a 1x1 map
+        (2, 1, 3, 3, dict(stride=2, padding=2, dilation=2), 6),
+        (1, 1, 1, 2, dict(padding=3, dilation=5), 4),             # every tap dead
+    ])
+    def test_dead_tap_weights_never_read(self, n, h, w, k, kw, n_dead):
+        # conv2d_naive skips a tap whose window lies wholly in padding, so a
+        # NaN weight there must not reach the output or the input gradient
+        rng = Rng(k + h)
+        conv = make_conv(3, 3, k, groups=3, rng=rng, dtype=np.float64, **kw)
+        x = rng.normal((n, 3, h, w), dtype=np.float64)
+        dead = dead_tap_mask(conv, h, w)
+        assert int(dead.sum()) == n_dead
+        clean = conv.weight.value.copy()
+        clean[:, :, dead] = 0.0
+        conv.weight.value[:, :, dead] = np.nan
+        want = conv2d_naive(x, conv)
+        assert np.all(np.isfinite(want))
+        assert rel_err(conv2d(x, conv), want) < 1e-5
+        gy = rng.normal(want.shape, dtype=np.float64)
+        got = conv2d_backward(x, conv, gy)
+        conv.weight.value = clean
+        ref = conv2d_backward(x, conv, gy)
+        assert np.array_equal(got.grad_input, ref.grad_input)
+        assert np.array_equal(got.grad_params["weight"], ref.grad_params["weight"])
+        assert not np.any(got.grad_params["weight"][:, :, dead])
 
 
 class TestConvDispatch:
