@@ -17,7 +17,7 @@ the coverage the dilated mixer's widest branch is sized to reach.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 from .blocks import Parallel, Stage, item_stages
@@ -53,10 +53,6 @@ class LayerCost:
     d: int
     trf: int
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": self.params, "macs": self.macs,
-                "out_shape": self.out_shape, "k": self.k, "d": self.d, "trf": self.trf}
-
 
 @dataclass
 class AnalysisReport:
@@ -82,7 +78,7 @@ class AnalysisReport:
             "total_gmacs": self.total_gmacs,
             "composite_rf": self.composite_rf,
             "elementwise_ops": self.elementwise_ops,
-            "layers": [layer.to_dict() for layer in self.layers],
+            "layers": [asdict(layer) for layer in self.layers],
         }
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -15,7 +15,7 @@ import json
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,16 +56,7 @@ class BenchResult:
     threads: Optional[int]
 
     def to_json_line(self) -> str:
-        return json.dumps({
-            "label": self.label,
-            "shape": self.shape,
-            "macs": self.macs,
-            "round_times_ns": self.round_times_ns,
-            "trimmed_mean_ns": self.trimmed_mean_ns,
-            "median_ns": self.median_ns,
-            "min_ns": self.min_ns,
-            "threads": self.threads,
-        })
+        return json.dumps(asdict(self))
 
 
 def blas_threads() -> Optional[int]:

@@ -17,6 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, bench, reparam, trainer, weights_io
+from .blocks import MIXER_MODES
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .model import VARIANTS, build_model, default_config
 from .ops import Conv2dLayer, conv2d, conv2d_naive, conv2d_backward
-from .tensor import Rng, resolve_dtype
+from .tensor import DTYPES, Rng, resolve_dtype
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -112,12 +113,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.model:
-        model = weights_io.load(args.model)
-        cfg = model.config
-    else:
-        cfg = default_config(args.variant)
-        model = build_model(cfg, dtype=args.dtype, init=False)
+    model = weights_io.load(args.model) if args.model else None
+    cfg = model.config if model is not None else default_config(args.variant)
     rep = analysis.report(cfg, args.resolution, model=model)
     if args.json:
         print(rep.to_json(indent=2))
@@ -338,10 +335,17 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=("f32", "f64"), default="f32")
-    p.add_argument("--json", action="store_true")
+_COMMON_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--dtype": dict(choices=tuple(DTYPES), default="f32"),
+    "--json": dict(action="store_true"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the shared flags a command reads, each declared once in `_COMMON_FLAGS`."""
+    for flag in flags:
+        p.add_argument(flag, **_COMMON_FLAGS[flag])
 
 
 def build_parser() -> _Parser:
@@ -353,27 +357,27 @@ def build_parser() -> _Parser:
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--mixer", choices=("mldc", "sldc", "conv3x3", "pointwise"), default=None)
+    p.add_argument("--mixer", choices=MIXER_MODES, default=None)
     p.add_argument("--dilations", type=_parse_int_pair, default=None, metavar="A,B")
     p.add_argument("--mixer-kernel", type=int, default=None)
     p.add_argument("--no-cpe", action="store_true")
     p.add_argument("--no-lkffn", action="store_true")
     p.add_argument("--head-hidden", type=int, default=None,
                    help="hidden width of the classifier head (0 = plain linear head)")
-    _add_common(p)
+    _add_common(p, "--seed", "--dtype", "--json")
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("analyze", help="parameter/MAC/receptive-field report")
     p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--model", default=None, help="analyze a saved checkpoint instead")
     p.add_argument("--resolution", type=int, default=224)
-    _add_common(p)
+    _add_common(p, "--json")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("verify", help="reparam equivalence, conv oracle, gradient checks")
     p.add_argument("--variant", choices=VARIANTS, default="micro")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p)
+    _add_common(p, "--seed", "--dtype", "--json")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="micro-benchmarks with trimmed statistics")
@@ -387,7 +391,7 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--trim", type=int, default=10)
     p.add_argument("--warmup", type=int, default=3)
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("train-toy", help="train the micro variant on synthetic blobs")
@@ -399,7 +403,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image-size", type=int, default=32)
     p.add_argument("--out", default=None, help="write the step,lr,loss CSV here")
     p.add_argument("--save-model", default=None)
-    _add_common(p)
+    _add_common(p, "--seed", "--json")
     p.set_defaults(fn=cmd_train_toy)
 
     p = sub.add_parser("infer", help="run a checkpoint on a raw tensor file")
@@ -407,14 +411,13 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="raw little-endian scalar file")
     p.add_argument("--shape", type=_parse_shape, required=True, metavar="N,C,H,W")
     p.add_argument("--topk", type=_positive_int, default=5)
-    _add_common(p)
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("export", help="re-save a checkpoint, optionally reparameterized")
     p.add_argument("--model", required=True)
     p.add_argument("--fused", action="store_true")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, "--json")
     p.set_defaults(fn=cmd_export)
 
     return parser

@@ -12,7 +12,8 @@ Variant configurations (ti/s/m/b) follow the published architecture table;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import astuple, dataclass, fields
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -55,6 +56,20 @@ class ModelConfig:
     def validate(self) -> None:
         if len(self.stages) != 4:
             raise ConfigError(f"expected 4 stages, got {len(self.stages)}")
+        # a checkpoint's JSON can carry any type: refuse before comparing
+        integral = [(f"a stage {i + 1} entry", v)
+                    for i, st in enumerate(self.stages) for v in astuple(st)]
+        integral += [("a dilation", d) for d in self.dilations]
+        integral += [("num_classes", self.num_classes), ("mixer_kernel", self.mixer_kernel),
+                     ("seed", self.seed)]
+        if self.head_hidden is not None:
+            integral.append(("head_hidden", self.head_hidden))
+        for name, value in integral:
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("use_cpe", "lk_ffn", "gelu_per_branch"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
         for i, st in enumerate(self.stages):
             if st.channels < 1 or st.n_irb < 0 or st.n_dcb < 0:
                 raise ConfigError(f"stage {i + 1} has invalid counts: {st}")
@@ -79,36 +94,19 @@ class ModelConfig:
             raise ConfigError(f"head_hidden must be >= 1, got {self.head_hidden}")
 
     def to_dict(self) -> dict:
-        return {
-            "stages": [[st.channels, st.n_irb, st.n_dcb] for st in self.stages],
-            "num_classes": self.num_classes,
-            "mixer_mode": self.mixer_mode,
-            "dilations": list(self.dilations),
-            "mixer_kernel": self.mixer_kernel,
-            "use_cpe": self.use_cpe,
-            "lk_ffn": self.lk_ffn,
-            "gelu_per_branch": self.gelu_per_branch,
-            "head_hidden": self.head_hidden,
-            "seed": self.seed,
-            "variant": self.variant,
-        }
+        """Every field in declaration order; tuples become JSON lists."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["stages"] = [list(astuple(st)) for st in self.stages]
+        d["dilations"] = list(self.dilations)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        stages = tuple(StageConfig(*s) for s in d["stages"])
-        return cls(
-            stages=stages,
-            num_classes=d["num_classes"],
-            mixer_mode=d["mixer_mode"],
-            dilations=tuple(d["dilations"]),
-            mixer_kernel=d["mixer_kernel"],
-            use_cpe=d["use_cpe"],
-            lk_ffn=d["lk_ffn"],
-            gelu_per_branch=d["gelu_per_branch"],
-            head_hidden=d["head_hidden"],
-            seed=d["seed"],
-            variant=d["variant"],
-        )
+        """Inverse of `to_dict`; every field is required, extra keys are ignored."""
+        kw = {f.name: d[f.name] for f in fields(cls)}
+        kw["stages"] = tuple(StageConfig(*s) for s in kw["stages"])
+        kw["dilations"] = tuple(kw["dilations"])
+        return cls(**kw)
 
 
 # Stage tables: (channels, n_irb, n_dcb) per stage.

@@ -79,13 +79,15 @@ class SyntheticDataset:
 
     Labels are 0..3 for (top-left, top-right, bottom-left, bottom-right),
     perfectly determined by the image, so the task is learnable by
-    construction.  Deterministic for a fixed seed.
+    construction.  Each blob has a standard deviation of 3 pixels; `noise`
+    is the standard deviation of the Gaussian background.  Deterministic for
+    a fixed seed.
     """
 
     num_classes = 4
 
     def __init__(self, n_samples: int, seed: int = 0, image_size: int = 32,
-                 sigma: float = 3.0, noise: float = 0.02):
+                 noise: float = 0.02):
         if image_size % 32 != 0:
             raise ValueError(f"image_size {image_size} must be a multiple of 32")
         self.seed = seed
@@ -102,7 +104,7 @@ class SyntheticDataset:
             qx = int(rng.integers(0, 2))
             cy = int(rng.integers(margin, half - margin)) + qy * half
             cx = int(rng.integers(margin, half - margin)) + qx * half
-            blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigma ** 2))
+            blob = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * 3.0 ** 2))
             images[i] += blob.astype(np.float32)[None, :, :]
             labels.append(qy * 2 + qx)
         self.images = images
@@ -125,9 +127,9 @@ class TrainResult:
     trace: List[TraceRow]
 
 
-def evaluate_accuracy(model: RapidNetModel, dataset: SyntheticDataset,
-                      batch_size: int = 32) -> float:
-    """Eval-mode classification accuracy over the whole dataset."""
+def evaluate_accuracy(model: RapidNetModel, dataset: SyntheticDataset) -> float:
+    """Eval-mode classification accuracy over the whole dataset, 32 images per forward."""
+    batch_size = 32
     model.set_mode("eval")
     correct = 0
     for start in range(0, len(dataset), batch_size):
@@ -139,25 +141,24 @@ def evaluate_accuracy(model: RapidNetModel, dataset: SyntheticDataset,
 
 def train_toy(cfg: ModelConfig, dataset: SyntheticDataset, steps: int,
               lr: float = 2e-3, schedule: str = "cosine", *,
-              batch_size: Optional[int] = None, weight_decay: float = 0.0,
-              model: Optional[RapidNetModel] = None) -> TrainResult:
-    """Train a (micro-scale) model on the synthetic task; returns the loss trace.
+              batch_size: Optional[int] = None) -> TrainResult:
+    """Train a fresh (micro-scale) model on the synthetic task; returns the loss trace.
 
-    The config's class count is aligned to the dataset.  Deterministic for
-    fixed config/dataset seeds: batch order comes from a seeded shuffle.
+    The model is built from `cfg` with its class count aligned to the
+    dataset, and AdamW runs without weight decay.  Deterministic for fixed
+    config/dataset seeds: batch order comes from a seeded shuffle.
     """
     if schedule not in ("constant", "cosine"):
         raise ValueError(f"schedule must be 'constant' or 'cosine', got {schedule!r}")
     if cfg.num_classes != dataset.num_classes:
         cfg = replace(cfg, num_classes=dataset.num_classes)
-    if model is None:
-        model = build_model(cfg)
+    model = build_model(cfg)
     model.set_mode("train")
     n = len(dataset)
     if batch_size is None or batch_size > n:
         batch_size = n
     order_rng = Rng(cfg.seed ^ 0xBA7C4)
-    state = AdamWState(lr=lr, weight_decay=weight_decay)
+    state = AdamWState(lr=lr)
     params = model.iter_params()
 
     trace: List[TraceRow] = []

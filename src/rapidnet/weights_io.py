@@ -98,7 +98,7 @@ def save(model: RapidNetModel, path: str) -> None:
     write, so repeated exports to one path ran at disk speed.  The magic goes
     in last, so `load` rejects a file whose save was cut short.
     """
-    blob = dict(model.config.to_dict())
+    blob = model.config.to_dict()
     blob["fused"] = model.fused
     blob["dtype"] = "f64" if model.dtype == np.float64 else "f32"
     cfg_bytes = json.dumps(blob).encode("utf-8")

@@ -37,6 +37,11 @@ def fd_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def without(key: str):
+    """Config mutation for `rewrite_config`: drop `key` from the blob."""
+    return lambda b: {k: v for k, v in b.items() if k != key}
+
+
 # Config-blob defects a checkpoint can carry: each must load as a CorruptFileError.
 DEFECTIVE_CONFIGS = {
     "two_element_stage": lambda b: {**b, "stages": [b["stages"][0][:2]] + b["stages"][1:]},
@@ -46,6 +51,21 @@ DEFECTIVE_CONFIGS = {
     "missing_dtype": lambda b: {k: v for k, v in b.items() if k != "dtype"},
     "missing_fused": lambda b: {k: v for k, v in b.items() if k != "fused"},
     "missing_variant": lambda b: {k: v for k, v in b.items() if k != "variant"},
+    # every other ModelConfig field is required too
+    **{f"missing_{key}": without(key)
+       for key in ("stages", "num_classes", "mixer_mode", "dilations", "mixer_kernel",
+                   "use_cpe", "lk_ffn", "gelu_per_branch", "head_hidden", "seed")},
+    # JSON types that compare or convert like the right ones but are not
+    "float_num_classes": lambda b: {**b, "num_classes": 8.0},
+    "bool_num_classes": lambda b: {**b, "num_classes": True},
+    "float_stage_width": lambda b: {**b, "stages": [[8.0, 1, 0]] + b["stages"][1:]},
+    "float_block_count": lambda b: {**b, "stages": [[8, 1.0, 0]] + b["stages"][1:]},
+    "float_dilation": lambda b: {**b, "dilations": [2.5, 3]},
+    "float_mixer_kernel": lambda b: {**b, "mixer_kernel": 3.0},
+    "float_head_hidden": lambda b: {**b, "head_hidden": 4.0},
+    "float_seed": lambda b: {**b, "seed": 1.5},
+    "str_seed": lambda b: {**b, "seed": "7"},
+    "str_use_cpe": lambda b: {**b, "use_cpe": "no"},
 }
 
 

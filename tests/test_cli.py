@@ -23,6 +23,32 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+# The least argv each command parses, for the unread-flag cases below.
+_MINIMAL_ARGV = {
+    "analyze": ["--variant", "micro"],
+    "bench": ["--case", "dilated3x3"],
+    "train-toy": ["--steps", "1"],
+    "infer": ["--model", "m", "--input", "x", "--shape", "1,3,32,32"],
+    "export": ["--model", "m", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "--seed=1"), ("analyze", "--dtype=f64"),
+    ("bench", "--dtype=f64"), ("bench", "--json"), ("bench", "--threads=4"),
+    ("train-toy", "--dtype=f64"),
+    ("infer", "--seed=1"), ("infer", "--dtype=f64"), ("infer", "--json"),
+    ("export", "--seed=1"), ("export", "--dtype=f64"),
+])
+def test_unread_flag_exits_one(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_MINIMAL_ARGV[command], flag])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+
+
 class TestBuild:
     def test_build_micro(self, tmp_path, capsys):
         out = tmp_path / "m.rpdn"
@@ -137,11 +163,6 @@ class TestBench:
         code, out, err = run(["bench", "--case", "depthwise", "--shape", "1,1,8,8"], capsys)
         assert code == 1
         assert out == "" and err.startswith("error:") and "C >= 2" in err
-
-    def test_threads_flag_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--case", "dilated3x3", "--threads", "4"])
-        assert exc.value.code == 1
 
     def test_negative_warmup_exits_one(self, capsys):
         code, out, err = run(["bench", "--case", "dilated3x3", "--shape", "1,2,8,8",

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -59,6 +59,15 @@ class TestConfigRegistry:
             replace(base, dilations=(1, 3)).validate()
         # non-mldc modes are free to use any positive dilation
         replace(base, mixer_mode="sldc", dilations=(1, 2)).validate()
+
+    def test_validation_accepts_numpy_integers(self):
+        base = default_config("micro")
+        cfg = replace(base, stages=tuple(StageConfig(*map(np.int64, astuple(s)))
+                                         for s in base.stages),
+                      num_classes=np.int32(8), dilations=(np.int64(2), np.int64(3)),
+                      mixer_kernel=np.int64(3), head_hidden=np.int64(16), seed=np.uint8(5))
+        cfg.validate()
+        assert build_model(cfg).forward(np.zeros((1, 3, 32, 32), np.float32)).shape == (1, 8)
 
     def test_config_roundtrip(self):
         cfg = default_config("ti")
