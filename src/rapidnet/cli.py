@@ -26,7 +26,15 @@ from .errors import (
     TrainingDiverged,
 )
 from .model import VARIANTS, build_model, default_config
-from .ops import Conv2dLayer, conv2d, conv2d_naive, conv2d_backward
+from .ops import (
+    BatchNorm2d,
+    Conv2dLayer,
+    batchnorm_backward,
+    batchnorm_forward,
+    conv2d,
+    conv2d_backward,
+    conv2d_naive,
+)
 from .tensor import DTYPES, Rng, resolve_dtype
 
 USAGE_ERROR = 1
@@ -153,32 +161,54 @@ def _verify_gradients() -> List[tuple]:
             it.iternext()
         return g
 
+    def fd_param(param, fn, gy):
+        """fd_grad w.r.t. a Param's value, with fn() reading the param."""
+        value = param.value
+
+        def with_value(v):
+            param.value = v
+            return fn()
+
+        num = fd_grad(with_value, value.copy(), gy)
+        param.value = value
+        return num
+
     def rel_err(ana, num):
         return float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1e-8))
 
     # batch 2, so the depthwise kernel's plane blocks span two images.  The
-    # 7x7 pad-3 conv on a 2x2 map is micro's stage-3 geometry: 40 of its 49
-    # taps read only padding and are skipped.
-    for geometry, k, pad, dil, size in (("dilated depthwise", 3, 3, 3, 6),
-                                        ("7x7 depthwise on 2x2", 7, 3, 1, 2)):
+    # 7x7 pad-3 depthwise conv on a 2x2 map is micro's stage-3 geometry: 40
+    # of its 49 taps read only padding and are skipped.  The dense 3x3
+    # dilation-2 conv on a 2x2 map is micro's MLDC branch: 8 of 9 taps skipped.
+    for geometry, k, pad, dil, size, groups in (("dilated depthwise", 3, 3, 3, 6, 2),
+                                                ("7x7 depthwise on 2x2", 7, 3, 1, 2, 2),
+                                                ("dilated dense on 2x2", 3, 2, 2, 2, 1)):
         x = rng.normal((2, 2, size, size), dtype=np.float64)
-        conv = Conv2dLayer.create(2, 2, k, padding=pad, dilation=dil, groups=2, bias=True,
-                                  rng=rng, dtype=np.float64)
+        conv = Conv2dLayer.create(2, 2, k, padding=pad, dilation=dil, groups=groups,
+                                  bias=True, rng=rng, dtype=np.float64)
         gy = rng.normal(conv2d(x, conv).shape, dtype=np.float64)
         r = conv2d_backward(x, conv, gy)
         num_x = fd_grad(lambda t: conv2d(t, conv), x.copy(), gy)
-
-        def with_weight(wt):
-            conv.weight.value = wt
-            return conv2d(x, conv)
-
-        weight = conv.weight.value
-        num_w = fd_grad(with_weight, weight.copy(), gy)
-        conv.weight.value = weight
+        num_w = fd_param(conv.weight, lambda: conv2d(x, conv), gy)
         for part, ana, num in (("input", r.grad_input, num_x),
                                ("weight", r.grad_params["weight"], num_w)):
             err = rel_err(ana, num)
             results.append((f"grad conv2d {part} ({geometry}, batch 2)", err, err < 1e-5))
+
+    # train-mode BN on inputs offset from zero; the error is the worst of the three
+    bn = BatchNorm2d.create(3, dtype=np.float64)
+    bn.mode = "train"
+    bn.gamma.value[:] = rng.normal((3,), dtype=np.float64)
+    bn.beta.value[:] = rng.normal((3,), dtype=np.float64)
+    x = rng.normal((2, 3, 3, 3), mean=2.0, dtype=np.float64)
+    gy = rng.normal(x.shape, dtype=np.float64)
+    r = batchnorm_backward(x, bn, gy)
+    errs = [rel_err(r.grad_input, fd_grad(lambda t: batchnorm_forward(t, bn), x.copy(), gy))]
+    for name, param in bn.named_params():
+        num = fd_param(param, lambda: batchnorm_forward(x, bn), gy)
+        errs.append(rel_err(r.grad_params[name], num))
+    err = max(errs)
+    results.append(("grad batchnorm input/gamma/beta (train, batch 2)", err, err < 1e-5))
 
     mldc = MldcBlock(2, rng=rng, dtype=np.float64)
     ffn = LkFfnBlock(2, rng=rng, dtype=np.float64)

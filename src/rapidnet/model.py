@@ -32,6 +32,13 @@ from .ops import BatchNorm2d, Param
 from .tensor import Rng, resolve_dtype
 
 
+def _plain(value):
+    """`value` as a JSON-ready scalar: any non-bool integer becomes an int."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return value
+
+
 @dataclass(frozen=True)
 class StageConfig:
     channels: int
@@ -94,10 +101,11 @@ class ModelConfig:
             raise ConfigError(f"head_hidden must be >= 1, got {self.head_hidden}")
 
     def to_dict(self) -> dict:
-        """Every field in declaration order; tuples become JSON lists."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["stages"] = [list(astuple(st)) for st in self.stages]
-        d["dilations"] = list(self.dilations)
+        """Every field in declaration order; tuples become JSON lists and
+        integers (numpy ones too, which `validate` accepts) plain ints."""
+        d = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        d["stages"] = [[int(v) for v in astuple(st)] for st in self.stages]
+        d["dilations"] = [int(v) for v in self.dilations]
         return d
 
     @classmethod

@@ -7,10 +7,17 @@ pointwise (1x1, stride 1, no padding, one group) convs are plain matmuls on
 [N, C, H*W]; depthwise convs run directly, without a column, over blocks of
 (image, channel) planes small enough that every per-tap pass stays in cache,
 and skip the taps that read only padding; every other conv lowers to im2col
-plus a batched matrix multiply.  `conv2d_naive` is an explicit-loop
-reference used as the oracle for all three in tests.  Backward functions
-recompute what they need from (input, layer, grad_out); there is no
-autograd graph.
+plus a batched matrix multiply.  The im2col column holds only the live taps
+(those whose window reads at least one input pixel), each copied from its
+in-bounds output rectangle of the unpadded input with its border strips
+zeroed, and it is multiplied by the matching weight sub-block.
+`conv2d_naive` is an explicit-loop reference used as the oracle for all
+three in tests.  Backward functions recompute what they need from (input,
+layer, grad_out); there is no autograd graph.
+
+Train-mode batch norm takes its statistics once per call from the centred
+input d = x - mean, and its backward is the closed form
+grad_x = k1*g + k2*d + k3 with per-channel k1, k2, k3.
 
 GeLU is the exact erf form for every dtype.  f64 evaluates erf with scipy;
 f32 uses a rational erf (the Eigen/XLA single-precision form, max abs error
@@ -269,52 +276,83 @@ def _channel_major(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(0, 1).reshape(a.shape[1], -1)
 
 
-def _im2col(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
-    """Gather kernel taps into [N, C, k, k, oh, ow]; out-of-bounds taps are zero."""
-    n, c, _, _ = x.shape
-    k, stride, padding, dilation = conv.kernel_size, conv.stride, conv.padding, conv.dilation
-    col = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+def _tap_spans(k: int, dilation: int, stride: int, padding: int, size: int,
+               out: int) -> List[Tuple[int, int, int, int]]:
+    """(tap, first input coordinate, lo, hi) of each live kernel offset along one axis.
+
+    Offset i reads input coordinates i*dilation - padding + stride*y for
+    outputs y < out; exactly the outputs lo <= y < hi read inside [0, size),
+    the first of them at the given coordinate.  An offset with no such output
+    reads only padding: `conv2d_naive` never multiplies it, so skipping it
+    is exact.
+    """
+    spans = []
     for i in range(k):
-        i0 = i * dilation
-        for j in range(k):
-            j0 = j * dilation
-            col[:, :, i, j] = x[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride]
+        first = i * dilation - padding
+        lo = max(0, -(first // stride))  # first output reading a coordinate >= 0
+        hi = min(out, -((first - size) // stride))  # outputs reading a coordinate < size
+        if lo < hi:
+            spans.append((i, first + stride * lo, lo, hi))
+    return spans
+
+
+def _tap_index(spans: List[Tuple[int, int, int, int]]):
+    """The live offsets along one kernel axis as an index into the weight.
+
+    A slice when they are contiguous, so the live-tap weight is a view (the
+    weight itself when every tap is live); a list only when the input is
+    narrower than the stride and dead offsets fall between live ones.
+    """
+    taps = [span[0] for span in spans]
+    lo = taps[0] if taps else 0
+    if taps == list(range(lo, lo + len(taps))):
+        return slice(lo, lo + len(taps))
+    return taps
+
+
+def _im2col_plan(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int):
+    """(row spans, column spans, [o, c/g, ki, kj] weight of the live taps) of a dense conv."""
+    _, _, h, w = x.shape
+    k, s, p, d = conv.kernel_size, conv.stride, conv.padding, conv.dilation
+    rows, cols = _tap_spans(k, d, s, p, h, oh), _tap_spans(k, d, s, p, w, ow)
+    live_w = conv.weight.value[:, :, _tap_index(rows)][:, :, :, _tap_index(cols)]
+    return rows, cols, live_w
+
+
+def _im2col(x: np.ndarray, stride: int, oh: int, ow: int, rows, cols) -> np.ndarray:
+    """Gather the live taps into [N, C, len(rows), len(cols), oh, ow].
+
+    Each tap copies its in-bounds output rectangle straight from `x` and
+    zeroes the border strips around it, which read padding; no padded copy
+    of `x` is made.
+    """
+    n, c, _, _ = x.shape
+    s = stride
+    col = np.empty((n, c, len(rows), len(cols), oh, ow), dtype=x.dtype)
+    for a, (_, r0, y0, y1) in enumerate(rows):
+        for b, (_, c0, x0, x1) in enumerate(cols):
+            tap = col[:, :, a, b]
+            tap[:, :, y0:y1, x0:x1] = x[:, :, r0:r0 + s * (y1 - y0):s, c0:c0 + s * (x1 - x0):s]
+            if y0:
+                tap[:, :, :y0] = 0
+            if y1 < oh:
+                tap[:, :, y1:] = 0
+            if x0:
+                tap[:, :, y0:y1, :x0] = 0
+            if x1 < ow:
+                tap[:, :, y0:y1, x1:] = 0
     return col
 
 
-def _col2im(gcol: np.ndarray, shape: Tuple[int, ...], conv: Conv2dLayer, oh: int,
-            ow: int) -> np.ndarray:
-    """Scatter-add a [N, C, k, k, oh, ow] column onto a zero input plane of `shape`."""
-    n, c, h, w = shape
-    k, stride, padding, dilation = conv.kernel_size, conv.stride, conv.padding, conv.dilation
-    # slack rows/cols keep the strided slices in bounds; cropped afterwards
-    img = np.zeros((n, c, h + 2 * padding + stride, w + 2 * padding + stride),
-                   dtype=gcol.dtype)
-    for i in range(k):
-        i0 = i * dilation
-        for j in range(k):
-            j0 = j * dilation
-            img[:, :, i0:i0 + stride * oh:stride, j0:j0 + stride * ow:stride] += gcol[:, :, i, j]
-    return img[:, :, padding:padding + h, padding:padding + w]
-
-
-def _live_taps(k: int, dilation: int, stride: int, padding: int, size: int,
-               out: int) -> List[int]:
-    """Kernel offsets along one axis whose window reads at least one input pixel.
-
-    Offset i reads input coordinates i*dilation - padding + stride*y for
-    outputs y < out.  The other taps read only padding: `conv2d_naive`
-    never multiplies them, so skipping them is exact.
-    """
-    live = []
-    for i in range(k):
-        first = i * dilation - padding
-        y = max(0, -(first // stride))  # first output reading a coordinate >= 0
-        if y < out and first + stride * y < size:
-            live.append(i)
-    return live
+def _col2im(gcol: np.ndarray, shape: Tuple[int, ...], stride: int, rows, cols) -> np.ndarray:
+    """Scatter-add the in-bounds part of a `_im2col` column onto a zero input of `shape`."""
+    s = stride
+    img = np.zeros(shape, dtype=gcol.dtype)
+    for a, (_, r0, y0, y1) in enumerate(rows):
+        for b, (_, c0, x0, x1) in enumerate(cols):
+            img[:, :, r0:r0 + s * (y1 - y0):s, c0:c0 + s * (x1 - x0):s] += \
+                gcol[:, :, a, b, y0:y1, x0:x1]
+    return img
 
 
 def _depthwise_plan(x: np.ndarray, conv: Conv2dLayer, oh: int,
@@ -332,7 +370,7 @@ def _depthwise_plan(x: np.ndarray, conv: Conv2dLayer, oh: int,
     hp, wp = h + 2 * p + s, w + 2 * p
     per_block = max(1, min(n * c, _DW_BLOCK_BYTES // (hp * wp * x.itemsize)))
     taps = [(i * k + j, (i * wp + j) * d)
-            for i in _live_taps(k, d, s, p, h, oh) for j in _live_taps(k, d, s, p, w, ow)]
+            for i, *_ in _tap_spans(k, d, s, p, h, oh) for j, *_ in _tap_spans(k, d, s, p, w, ow)]
     return hp, wp, per_block, taps
 
 
@@ -411,13 +449,15 @@ def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
     cache-sized block of (image, channel) planes at a time: each live tap is
     one multiply-add of a flat slice of the zero-padded block, and taps that
     read only padding are skipped (`_depthwise_plan`).  Every other conv
-    (dense, dilated, strided, grouped) is im2col plus a batched matmul.
+    (dense, dilated, strided, grouped) is im2col plus a batched matmul over
+    the live taps only (`_im2col_plan`): a tap whose window lies wholly in
+    padding is neither gathered nor multiplied, exactly as `conv2d_naive`
+    skips it; when every tap is live the live-tap weight is the weight itself.
     """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
     oh, ow = out_shape(h, w, conv)
-    k, g = conv.kernel_size, conv.groups
-    o = conv.out_channels
+    g, o = conv.groups, conv.out_channels
     wv = conv.weight.value
     kind = _conv_kind(conv)
     if kind == "pointwise":
@@ -425,9 +465,10 @@ def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
     elif kind == "depthwise":
         out = _depthwise_conv(x, conv, oh, ow)
     else:
-        cg = c // g
-        col = _im2col(x, conv, oh, ow).reshape(n, g, cg * k * k, oh * ow)
-        out = np.matmul(wv.reshape(g, o // g, cg * k * k), col)
+        rows, cols, live_w = _im2col_plan(x, conv, oh, ow)
+        kk = c // g * len(rows) * len(cols)
+        col = _im2col(x, conv.stride, oh, ow, rows, cols).reshape(n, g, kk, oh * ow)
+        out = np.matmul(live_w.reshape(g, o // g, kk), col)
     out = out.reshape(n, o, oh, ow)
     if conv.bias is not None:
         out += conv.bias.value[None, :, None, None]
@@ -475,8 +516,9 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     forward's plane blocks and tap slices: grad_w[c, tap] sums the tap's
     input slice times grad_out (zero in the cropped columns), and grad_x
     adds grad_out * w[c, tap] into a zero-padded block once per live tap.
-    Otherwise the im2col columns give grad_w and col2im scatters W^T @
-    grad_out back.
+    Otherwise the live-tap im2col column gives grad_w on the live taps
+    (exactly 0 on the others), and col2im scatter-adds W_live^T @ grad_out
+    straight onto the in-bounds input pixels.
     """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
@@ -484,8 +526,7 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     if grad_out.shape != (n, conv.out_channels, oh, ow):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != {(n, conv.out_channels, oh, ow)}")
-    k, g = conv.kernel_size, conv.groups
-    o = conv.out_channels
+    g, o = conv.groups, conv.out_channels
     wv = conv.weight.value
     kind = _conv_kind(conv)
     if kind == "pointwise":
@@ -495,12 +536,18 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     elif kind == "depthwise":
         grad_x, grad_w = _depthwise_conv_backward(x, conv, grad_out, oh, ow)
     else:
-        cg = c // g
-        col = _im2col(x, conv, oh, ow).reshape(n, g, cg * k * k, oh * ow)
+        rows, cols, live_w = _im2col_plan(x, conv, oh, ow)
+        ki, kj = len(rows), len(cols)
+        kk = c // g * ki * kj
+        col = _im2col(x, conv.stride, oh, ow, rows, cols).reshape(n, g, kk, oh * ow)
         go = grad_out.reshape(n, g, o // g, oh * ow)
-        grad_w = np.matmul(go, col.transpose(0, 1, 3, 2)).sum(axis=0)
-        gcol = np.matmul(wv.reshape(g, o // g, cg * k * k).transpose(0, 2, 1), go)
-        grad_x = _col2im(gcol.reshape(n, c, k, k, oh, ow), x.shape, conv, oh, ow)
+        grad_w = np.matmul(go, col.transpose(0, 1, 3, 2)).sum(axis=0).reshape(live_w.shape)
+        if live_w.shape != wv.shape:  # dead taps get exactly 0
+            live = np.ix_([t[0] for t in rows], [t[0] for t in cols])
+            grad_w, live_grad_w = np.zeros(wv.shape, dtype=grad_w.dtype), grad_w
+            grad_w[:, :, live[0], live[1]] = live_grad_w
+        gcol = np.matmul(live_w.reshape(g, o // g, kk).transpose(0, 2, 1), go)
+        grad_x = _col2im(gcol.reshape(n, c, ki, kj, oh, ow), x.shape, conv.stride, rows, cols)
     grads = {"weight": grad_w.reshape(conv.weight.shape)}
     if conv.bias is not None:
         grads["bias"] = grad_out.sum(axis=(0, 2, 3))
@@ -516,45 +563,65 @@ def _check_bn_input(x: np.ndarray, bn: BatchNorm2d) -> None:
         raise ShapeError(f"BN expects (N,{bn.channels},H,W) input, got {x.shape}")
 
 
-def _batch_stats(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
-    return mean, var
+def _batch_stats(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, d = x - mean as [N, C, H*W], biased var = mean of d*d) over (N, H, W).
+
+    The variance is taken from the centred values, not as E[x^2] - mean^2,
+    which cancels catastrophically when |mean| >> std.
+    """
+    n, c, h, w = x.shape
+    xv = x.reshape(n, c, h * w)
+    mean = xv.mean(axis=(0, 2))
+    d = xv - mean[:, None]
+    var = np.einsum("nci,nci->c", d, d) / (n * h * w)
+    return mean, d, var
 
 
 def batchnorm_forward(x: np.ndarray, bn: BatchNorm2d) -> np.ndarray:
+    """Train mode: gamma * (x - mean) / sqrt(var + eps) + beta with batch statistics,
+    computed in place on the centred copy; eval mode: x * scale + shift from the
+    running estimates."""
     _check_bn_input(x, bn)
     if bn.mode == "train":
-        mean, var = _batch_stats(x)
+        mean, d, var = _batch_stats(x)
         m = bn.momentum
         bn.running_mean = ((1.0 - m) * bn.running_mean + m * mean).astype(x.dtype)
         bn.running_var = ((1.0 - m) * bn.running_var + m * var).astype(x.dtype)
-    else:
-        mean, var = bn.running_mean, bn.running_var
-    inv_std = 1.0 / np.sqrt(var + bn.eps)
+        d *= (bn.gamma.value / np.sqrt(var + bn.eps))[:, None]
+        d += bn.beta.value[:, None]
+        return d.reshape(x.shape)
+    inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
     scale = (bn.gamma.value * inv_std)[None, :, None, None]
-    shift = (bn.beta.value - bn.gamma.value * mean * inv_std)[None, :, None, None]
+    shift = (bn.beta.value - bn.gamma.value * bn.running_mean * inv_std)[None, :, None, None]
     return x * scale + shift
 
 
 def batchnorm_backward(x: np.ndarray, bn: BatchNorm2d, grad_out: np.ndarray) -> GradResult:
-    """Train-mode BN gradients w.r.t. input, gamma, beta."""
+    """Train-mode BN gradients w.r.t. input, gamma, beta, in closed form.
+
+    With d = x - mean, m = N*H*W and per-channel sums over (N, H, W)
+    (Ioffe & Szegedy, arXiv 1502.03167): grad_beta = sum(g), grad_gamma =
+    inv_std * sum(g*d), and grad_x = k1*g + k2*d + k3 with k1 = gamma*inv_std,
+    k2 = -k1 * inv_std^2 * sum(g*d) / m and k3 = -k1 * sum(g) / m.  The
+    statistics are recomputed from x once; grad_x is built in place on d.
+    """
     if bn.mode != "train":
         raise StateError("batchnorm_backward requires train mode; eval BN is an affine map "
                          "(fold it into the preceding convolution instead)")
     _check_bn_input(x, bn)
     if grad_out.shape != x.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    mean, var = _batch_stats(x)
+    _, d, var = _batch_stats(x)
+    m = d.size // d.shape[1]
+    g = grad_out.reshape(d.shape)
     inv_std = 1.0 / np.sqrt(var + bn.eps)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    dxhat = grad_out * bn.gamma.value[None, :, None, None]
-    mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-    grad_x = inv_std[None, :, None, None] * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-    return GradResult(grad_x, {"gamma": grad_gamma, "beta": grad_beta})
+    sum_g = g.sum(axis=(0, 2))
+    sum_gd = np.einsum("nci,nci->c", g, d)
+    k1 = bn.gamma.value * inv_std
+    d *= (-k1 * inv_std * inv_std * sum_gd / m)[:, None]
+    d += (-k1 * sum_g / m)[:, None]
+    d += g * k1[:, None]
+    return GradResult(d.reshape(x.shape), {"gamma": inv_std * sum_gd, "beta": sum_g})
 
 
 # ---------------------------------------------------------------------------

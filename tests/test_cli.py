@@ -126,6 +126,12 @@ class TestVerify:
         data = json.loads(out)
         assert data["passed"] is True
         assert all(c["pass"] for c in data["checks"])
+        # the f64 finite-difference rows for the live-tap im2col and closed-form BN
+        labels = {c["label"] for c in data["checks"]}
+        for row in ("grad conv2d input (dilated dense on 2x2, batch 2)",
+                    "grad conv2d weight (dilated dense on 2x2, batch 2)",
+                    "grad batchnorm input/gamma/beta (train, batch 2)"):
+            assert f"{row}: rel err" in labels
 
     def test_non_finite_logits_fail_their_own_row(self, capsys, monkeypatch):
         real = reparam.reparameterize_model

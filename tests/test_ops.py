@@ -51,6 +51,13 @@ DEAD_TAPS = dict(k=7, d=1, s=1, p=3, c=3, c_out=3, depthwise=True, bias=True,
                  extra_h=0, extra_w=1, seed=3)
 STRIDED_DILATED = dict(k=3, d=2, s=2, p=2, c=3, c_out=3, depthwise=True, bias=True,
                        extra_h=3, extra_w=2, seed=4)
+# Dense draws the live-tap im2col owns: micro's MLDC branch geometry (3x3 at
+# dilation 2, pad 2, on a 2x2 map: 8 of 9 taps dead), and a strided 1x1 on
+# a 1x1 map where no tap is live, so the output is the bias alone.
+DENSE_DEAD_TAPS = dict(k=3, d=2, s=1, p=2, c=3, c_out=2, depthwise=False, bias=True,
+                       extra_h=1, extra_w=1, seed=5)
+NO_LIVE_TAP = dict(k=1, d=1, s=2, p=1, c=3, c_out=2, depthwise=False, bias=True,
+                   extra_h=0, extra_w=0, seed=6)
 
 
 def drawn_conv(n, k, d, s, p, c, c_out, depthwise, bias, extra_h, extra_w, seed):
@@ -199,6 +206,8 @@ class TestConvOracle:
     @example(n=2, **DEPTHWISE)
     @example(n=2, **DEAD_TAPS)
     @example(n=2, **STRIDED_DILATED)
+    @example(n=2, **DENSE_DEAD_TAPS)
+    @example(n=2, **NO_LIVE_TAP)
     def test_property_matches_naive(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert x.dtype == conv.weight.value.dtype == np.float64
@@ -210,6 +219,8 @@ class TestConvOracle:
     @example(n=3, **DEPTHWISE)
     @example(n=3, **DEAD_TAPS)
     @example(n=3, **STRIDED_DILATED)
+    @example(n=3, **DENSE_DEAD_TAPS)
+    @example(n=3, **NO_LIVE_TAP)
     def test_property_backward_adjoint(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert_adjoint(conv, x, space["seed"] + 1)
@@ -267,26 +278,66 @@ class TestDepthwiseKernel:
         (1, 1, 1, 2, dict(padding=3, dilation=5), 4),             # every tap dead
     ])
     def test_dead_tap_weights_never_read(self, n, h, w, k, kw, n_dead):
-        # conv2d_naive skips a tap whose window lies wholly in padding, so a
-        # NaN weight there must not reach the output or the input gradient
-        rng = Rng(k + h)
-        conv = make_conv(3, 3, k, groups=3, rng=rng, dtype=np.float64, **kw)
-        x = rng.normal((n, 3, h, w), dtype=np.float64)
-        dead = dead_tap_mask(conv, h, w)
-        assert int(dead.sum()) == n_dead
-        clean = conv.weight.value.copy()
-        clean[:, :, dead] = 0.0
-        conv.weight.value[:, :, dead] = np.nan
-        want = conv2d_naive(x, conv)
-        assert np.all(np.isfinite(want))
-        assert rel_err(conv2d(x, conv), want) < 1e-5
-        gy = rng.normal(want.shape, dtype=np.float64)
-        got = conv2d_backward(x, conv, gy)
-        conv.weight.value = clean
-        ref = conv2d_backward(x, conv, gy)
-        assert np.array_equal(got.grad_input, ref.grad_input)
-        assert np.array_equal(got.grad_params["weight"], ref.grad_params["weight"])
-        assert not np.any(got.grad_params["weight"][:, :, dead])
+        assert_dead_taps_never_read(n, h, w, k, kw, n_dead, c_in=3, c_out=3, groups=3)
+
+
+def assert_dead_taps_never_read(n, h, w, k, kw, n_dead, c_in, c_out, groups):
+    # conv2d_naive skips a tap whose window lies wholly in padding, so a NaN
+    # weight there must not reach the output or the input gradient, and the
+    # weight gradient there is exactly 0
+    rng = Rng(k + h)
+    conv = make_conv(c_in, c_out, k, groups=groups, rng=rng, dtype=np.float64, **kw)
+    x = rng.normal((n, c_in, h, w), dtype=np.float64)
+    dead = dead_tap_mask(conv, h, w)
+    assert int(dead.sum()) == n_dead
+    clean = conv.weight.value.copy()
+    clean[:, :, dead] = 0.0
+    conv.weight.value[:, :, dead] = np.nan
+    want = conv2d_naive(x, conv)
+    assert np.all(np.isfinite(want))
+    assert rel_err(conv2d(x, conv), want) < 1e-5
+    gy = rng.normal(want.shape, dtype=np.float64)
+    got = conv2d_backward(x, conv, gy)
+    conv.weight.value = clean
+    ref = conv2d_backward(x, conv, gy)
+    assert np.array_equal(got.grad_input, ref.grad_input)
+    assert np.array_equal(got.grad_params["weight"], ref.grad_params["weight"])
+    assert not np.any(got.grad_params["weight"][:, :, dead])
+
+
+class TestDenseDeadTaps:
+    @pytest.mark.parametrize("n, h, w, k, kw, n_dead", [
+        (2, 2, 2, 3, dict(padding=2, dilation=2), 8),             # micro's stage-3 MLDC branch
+        (2, 1, 1, 3, dict(padding=3, dilation=3), 8),             # micro's stage-4 MLDC branch
+        (2, 2, 3, 3, dict(stride=2, padding=1), 3),               # downsample, top row dead
+        (1, 1, 1, 3, dict(stride=2, padding=2), 5),               # dead middle tap between live ones
+        (2, 1, 1, 1, dict(stride=2, padding=1), 1),               # no tap is live
+    ])
+    def test_dead_tap_weights_never_read(self, n, h, w, k, kw, n_dead):
+        assert_dead_taps_never_read(n, h, w, k, kw, n_dead, c_in=3, c_out=2, groups=1)
+
+    def test_grouped(self):
+        assert_dead_taps_never_read(2, 2, 2, 3, dict(padding=2, dilation=2), 8,
+                                    c_in=4, c_out=6, groups=2)
+
+    @pytest.mark.parametrize("k, kw", [(3, dict(padding=1)), (3, dict(padding=2, dilation=2)),
+                                       (3, dict(stride=2, padding=1)), (5, dict(padding=1))])
+    def test_all_live_matches_padded_column(self, rng, k, kw):
+        # with every tap live the pad-free gather fills the same column as
+        # gathering from a zero-padded copy, so the output is bit for bit the same
+        conv = make_conv(4, 6, k, rng=rng, **kw)
+        x = rng.normal((2, 4, 7, 7))
+        oh, ow = out_shape(7, 7, conv)
+        s, p, d = conv.stride, conv.padding, conv.dilation
+        img = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        col = np.empty((2, 4, k, k, oh, ow), dtype=x.dtype)
+        for i in range(k):
+            for j in range(k):
+                col[:, :, i, j] = img[:, :, i * d:i * d + s * oh:s, j * d:j * d + s * ow:s]
+        ref = np.matmul(conv.weight.value.reshape(1, 6, -1), col.reshape(2, 1, -1, oh * ow))
+        ref = ref.reshape(2, 6, oh, ow) + conv.bias.value[None, :, None, None]
+        assert not dead_tap_mask(conv, 7, 7).any()
+        assert np.array_equal(conv2d(x, conv), ref)
 
 
 class TestConvDispatch:
@@ -311,6 +362,130 @@ class TestConvDispatch:
                 make_conv(4, 4, k)
         with pytest.raises(ShapeError):
             Conv2dLayer(np.zeros((2, 2, 0, 0), dtype=np.float32))
+
+
+def textbook_bn_forward(x, bn):
+    """Train-mode BN forward as first written: the reference for the fast path."""
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    scale = (bn.gamma.value * inv_std)[None, :, None, None]
+    shift = (bn.beta.value - bn.gamma.value * mean * inv_std)[None, :, None, None]
+    return x * scale + shift
+
+
+def textbook_bn_backward(x, bn, grad_out):
+    """(grad_x, grad_gamma, grad_beta) of train-mode BN, textbook form, as first written."""
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    grad_gamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    grad_beta = grad_out.sum(axis=(0, 2, 3))
+    dxhat = grad_out * bn.gamma.value[None, :, None, None]
+    mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+    grad_x = inv_std[None, :, None, None] * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    return grad_x, grad_gamma, grad_beta
+
+
+def drawn_bn(shape, offset, const, seed, dtype):
+    """A train-mode BN with random affine, an input centred at `offset` (channel 0
+    constant when `const`, so its variance is 0) and an upstream gradient."""
+    rng = Rng(seed)
+    c = shape[1]
+    bn = BatchNorm2d.create(c, dtype=dtype)
+    bn.mode = "train"
+    bn.gamma.value[:] = rng.normal((c,), dtype=dtype)
+    bn.beta.value[:] = rng.normal((c,), dtype=dtype)
+    x = rng.normal(shape, mean=offset, dtype=dtype)
+    if const:
+        x[:, 0] = offset + 0.25
+    return bn, x, rng.normal(shape, dtype=dtype)
+
+
+def fast_bn(x, bn, gy):
+    out = batchnorm_forward(x, bn)
+    r = batchnorm_backward(x, bn, gy)
+    return out, r.grad_input, r.grad_params["gamma"], r.grad_params["beta"]
+
+
+def textbook_bn(x, bn, gy):
+    return (textbook_bn_forward(x, bn), *textbook_bn_backward(x, bn, gy))
+
+
+def bn_errors(shape, offset, const, seed, dtype, impl=fast_bn):
+    """Errors of impl's (output, grad_x, grad_gamma, grad_beta), computed in
+    `dtype`, against the textbook form in f64 on the same values.
+
+    Each error is scaled by the magnitude of the terms the result sums, not
+    by the result alone: with a variance near 0 (scale ~ 1/sqrt(eps)) or
+    N*H*W = 2 the terms cancel, and the textbook form's own rounding error
+    follows the terms.
+    """
+    bn, x, gy = drawn_bn(shape, offset, const, seed, dtype)
+    got = impl(x, bn, gy)
+    assert all(a.dtype == dtype for a in got)
+    ref_bn, ref_x, ref_gy = drawn_bn(shape, offset, const, seed, np.float64)
+    ref_x[...], ref_gy[...] = x, gy
+    for name, p in bn.named_params():
+        getattr(ref_bn, name).value[:] = p.value
+    want = textbook_bn(ref_x, ref_bn, ref_gy)
+    inv_std = 1.0 / np.sqrt(ref_x.var(axis=(0, 2, 3)) + bn.eps)[None, :, None, None]
+    xhat = (ref_x - ref_x.mean(axis=(0, 2, 3), keepdims=True)) * inv_std
+    k1 = np.abs(ref_bn.gamma.value[None, :, None, None] * inv_std)
+    terms = [np.abs(ref_x) * k1, np.abs(ref_gy) * k1,
+             np.abs(ref_gy * xhat).sum(axis=(0, 2, 3)), np.abs(ref_gy).sum(axis=(0, 2, 3))]
+    return [float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(b))), float(np.max(t)), 1e-8)
+            for a, b, t in zip(got, want, terms)]
+
+
+BN_SPACE = dict(n=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 5),
+                w=st.integers(1, 5), offset=st.sampled_from([0.0, 5.0]), const=st.booleans(),
+                seed=st.integers(0, 2 ** 16))
+# ti's largest BN input: the stem's first conv output at batch 2
+TI_LARGEST_BN = (2, 16, 112, 112)
+# f32 against the f64 textbook form, for the fast and the textbook form alike:
+# the worst of 400 random draws was 2.6e-6 for both (grad_x at N*H*W = 2)
+BN_F32_TOL = 1e-5
+
+
+class TestBatchNormClosedForm:
+    """The fast train-mode BN (statistics from d = x - mean, closed-form
+    backward) against the textbook form it replaced."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(**BN_SPACE)
+    @example(n=1, c=3, h=1, w=1, offset=0.0, const=False, seed=1)   # N*H*W = 1
+    @example(n=2, c=3, h=3, w=2, offset=0.0, const=True, seed=2)    # a constant channel
+    @example(n=3, c=4, h=5, w=5, offset=5.0, const=False, seed=3)   # mean offset 5
+    def test_f64_matches_textbook(self, n, c, h, w, offset, const, seed):
+        errs = bn_errors((n, c, h, w), offset, const, seed, np.float64)
+        assert max(errs) < 1e-12, errs
+
+    # the textbook form runs too: the bound is what f32 costs either way
+    @pytest.mark.parametrize("impl", [fast_bn, textbook_bn])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(**BN_SPACE)
+    @example(n=1, c=3, h=1, w=1, offset=0.0, const=False, seed=1)
+    @example(n=2, c=3, h=3, w=2, offset=0.0, const=True, seed=2)
+    @example(n=3, c=4, h=5, w=5, offset=5.0, const=False, seed=3)
+    def test_f32_within_bound_of_f64_textbook(self, impl, n, c, h, w, offset, const, seed):
+        errs = bn_errors((n, c, h, w), offset, const, seed, np.float32, impl=impl)
+        assert max(errs) < BN_F32_TOL, errs
+
+    @pytest.mark.parametrize("offset", [0.0, 5.0])
+    def test_ti_largest_shape(self, offset):
+        assert max(bn_errors(TI_LARGEST_BN, offset, True, 7, np.float64)) < 1e-12
+        assert max(bn_errors(TI_LARGEST_BN, offset, True, 7, np.float32)) < BN_F32_TOL
+
+    @pytest.mark.parametrize("shape, offset", [((1, 3, 1, 1), 0.0), ((3, 4, 5, 5), 5.0),
+                                               (TI_LARGEST_BN, 5.0)])
+    def test_running_stats_match_textbook(self, shape, offset):
+        bn, x, _ = drawn_bn(shape, offset, True, 8, np.float64)
+        batchnorm_forward(x, bn)
+        assert rel_err(bn.running_mean, 0.1 * x.mean(axis=(0, 2, 3))) < 1e-12
+        assert rel_err(bn.running_var, 0.9 + 0.1 * x.var(axis=(0, 2, 3))) < 1e-12
 
 
 class TestBatchNorm:

@@ -66,6 +66,20 @@ class TestRoundTrip:
         save(build_model(default_config("micro"), dtype=dtype), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_numpy_integers_in_config_save_as_plain_ints(self, tmp_path):
+        # validate accepts numpy integers, so save must write them as JSON ints
+        plain = replace(default_config("micro"), num_classes=8, dilations=(2, 3))
+        stages = tuple(replace(st, channels=np.int64(st.channels)) for st in plain.stages)
+        numpy_ints = replace(plain, stages=stages, num_classes=np.int64(8),
+                             dilations=(np.int32(2), np.int64(3)), seed=np.uint8(0))
+        paths = [tmp_path / "plain.rpdn", tmp_path / "numpy.rpdn"]
+        for cfg, path in zip((plain, numpy_ints), paths):
+            save(build_model(cfg), str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        loaded = load(str(paths[1]))
+        assert loaded.config == plain
+        assert type(loaded.config.num_classes) is int
+
     def test_magic_bytes(self, tmp_path):
         model = build_model(default_config("micro"))
         path = tmp_path / "model.rpdn"
