@@ -18,12 +18,13 @@ FFN: a model holds the two as consecutive entries of its block list.
 `DilatedConvBlock` chains the same pair for standalone use (gradient checks);
 it has no plan of its own and is never a model entry.
 
-`forward(x, train=False)` runs the block (train mode uses batch statistics
-in BN, updates running estimates, and records the activations needed for
-`backward`); `backward(grad_out)` accumulates parameter gradients and returns
-the gradient w.r.t. the block input.  Blocks whose BN layers have been
-folded away (see `reparam`) carry `None` in the BN slots and skip
-normalization, and a fused CPE stage carries `skip=False`.
+`forward(x, train=False)` runs the block; `train`, passed on to each BN, is
+the only way train/eval reaches a layer (train mode uses batch statistics,
+updates running estimates, and records the activations `backward` needs);
+`backward(grad_out)` accumulates parameter gradients and returns the
+gradient w.r.t. the block input.  Blocks whose BN layers have been folded
+away (see `reparam`) carry `None` in the BN slots and skip normalization,
+and a fused CPE stage carries `skip=False`.
 """
 
 from __future__ import annotations
@@ -84,13 +85,6 @@ def stages(plan) -> List[Stage]:
     return [st for item in plan for st in item_stages(item)]
 
 
-def _apply_bn(x: np.ndarray, bn: Optional[BatchNorm2d], train: bool) -> np.ndarray:
-    if bn is None:
-        return x
-    bn.mode = "train" if train else "eval"
-    return batchnorm_forward(x, bn)
-
-
 def _accumulate(layer, r) -> None:
     for name, p in layer.named_params():
         p.accumulate(r.grad_params[name])
@@ -105,7 +99,7 @@ def _stage_forward(st: Stage, x, train, cache):
         y = conv2d(x, st.conv)
     if st.skip:
         y = add(x, y)
-    z = _apply_bn(y, st.bn, train)
+    z = y if st.bn is None else batchnorm_forward(y, st.bn, train)
     out = gelu(z) if st.act else z
     if cache is not None:
         cache.append((x, y, z))

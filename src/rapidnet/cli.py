@@ -197,15 +197,15 @@ def _verify_gradients() -> List[tuple]:
 
     # train-mode BN on inputs offset from zero; the error is the worst of the three
     bn = BatchNorm2d.create(3, dtype=np.float64)
-    bn.mode = "train"
     bn.gamma.value[:] = rng.normal((3,), dtype=np.float64)
     bn.beta.value[:] = rng.normal((3,), dtype=np.float64)
     x = rng.normal((2, 3, 3, 3), mean=2.0, dtype=np.float64)
     gy = rng.normal(x.shape, dtype=np.float64)
     r = batchnorm_backward(x, bn, gy)
-    errs = [rel_err(r.grad_input, fd_grad(lambda t: batchnorm_forward(t, bn), x.copy(), gy))]
+    errs = [rel_err(r.grad_input,
+                    fd_grad(lambda t: batchnorm_forward(t, bn, train=True), x.copy(), gy))]
     for name, param in bn.named_params():
-        num = fd_param(param, lambda: batchnorm_forward(x, bn), gy)
+        num = fd_param(param, lambda: batchnorm_forward(x, bn, train=True), gy)
         errs.append(rel_err(r.grad_params[name], num))
     err = max(errs)
     results.append(("grad batchnorm input/gamma/beta (train, batch 2)", err, err < 1e-5))

@@ -5,7 +5,8 @@ between them, and a classifier head.  Stages 1-2 hold inverted residual
 blocks only; stages 3-4 append dilated convolution blocks after the IRBs,
 each one an MLDC block and a large-kernel FFN block in sequence.
 `build_model` writes that order down once, as the model's list of named
-blocks; forward, backward, naming, fusion and analysis all walk that list.
+blocks; forward, backward, naming, fusion and analysis all walk that list,
+and the model's `dtype` and `fused` are read off it.
 Variant configurations (ti/s/m/b) follow the published architecture table;
 `micro` is a tiny non-standard variant for fast tests.
 """
@@ -77,6 +78,8 @@ class ModelConfig:
         for name in ("use_cpe", "lk_ffn", "gelu_per_branch"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.variant, str):
+            raise ConfigError(f"variant must be a string, got {self.variant!r}")
         for i, st in enumerate(self.stages):
             if st.channels < 1 or st.n_irb < 0 or st.n_dcb < 0:
                 raise ConfigError(f"stage {i + 1} has invalid counts: {st}")
@@ -149,29 +152,36 @@ class RapidNetModel:
     """A built network: one ordered list of named blocks (stem, four stages
     with interleaved downsamples, head) that every walker reads.
 
-    `mode` is "train" or "eval"; eval-mode forward is pure, train-mode
+    `mode` ("train" or "eval") is stored only here and reaches each block as
+    `forward`'s `train` argument; eval-mode forward is pure, train-mode
     forward updates BN running statistics and records activations so that
-    `backward` can run.  Blocks are named stem, stage{i}.irb{j},
+    `backward` can run.  `dtype` and `fused` are read off the blocks, not
+    stored.  Blocks are named stem, stage{i}.irb{j},
     stage{i}.dcb{j}.mldc, stage{i}.dcb{j}.ffn, down{i} and head; parameter
     names are <block>.<layer>.<tensor> (see `iter_params`).
     """
 
-    def __init__(self, config: ModelConfig, blocks: List[Tuple[str, object]],
-                 dtype=np.float32, fused: bool = False):
+    def __init__(self, config: ModelConfig, blocks: List[Tuple[str, object]]):
         self.config = config
         self._blocks = list(blocks)
-        self.dtype = np.dtype(dtype)
-        self.fused = fused
         self.mode = "eval"
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The first layer's dtype, which every tensor shares."""
+        return next(self._blocks[0][1].named_layers())[1].weight.value.dtype
+
+    @property
+    def fused(self) -> bool:
+        """True when no BN layer is left; an unfused stem always holds two."""
+        return next(self.iter_batchnorms(), None) is None
 
     def set_mode(self, mode: str) -> None:
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         self.mode = mode
-        for bn in self.iter_batchnorms():
-            bn.mode = mode
 
     def iter_batchnorms(self) -> Iterator[BatchNorm2d]:
         """Every BatchNorm2d layer in the structure (none after fusion)."""
@@ -259,4 +269,4 @@ def build_model(cfg: ModelConfig, dtype="f32", *, init: bool = True) -> RapidNet
             blocks.append((f"down{i}", DownsampleBlock(st.channels, cfg.stages[i].channels, **kw)))
     blocks.append(("head", HeadBlock(cfg.stages[3].channels, cfg.num_classes,
                                      hidden=cfg.head_hidden, **kw)))
-    return RapidNetModel(cfg, blocks, dtype=dt)
+    return RapidNetModel(cfg, blocks)

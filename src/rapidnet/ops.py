@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import erf
 
-from .errors import GeometryError, LabelError, ShapeError, StateError
+from .errors import GeometryError, LabelError, ShapeError
 from .tensor import Rng
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -156,15 +156,16 @@ class Conv2dLayer:
 class BatchNorm2d:
     """Per-channel batch normalization over (N, H, W).
 
-    `mode` is "train" (normalize with batch statistics and update the running
-    estimates) or "eval" (normalize with the running estimates only).
-    Running variance uses the biased batch estimate so that running and batch
-    statistics coincide once converged.
+    Train/eval is not stored here: it is the `train` argument of
+    `batchnorm_forward`.  Running variance uses the biased batch estimate so
+    that running and batch statistics coincide once converged.
     """
 
+    eps = 1e-5
+    momentum = 0.1  # `reparam.recalibrate_bn` sets 1 for its one pass
+
     def __init__(self, gamma: np.ndarray, beta: np.ndarray,
-                 running_mean: np.ndarray, running_var: np.ndarray, *,
-                 eps: float = 1e-5, momentum: float = 0.1, mode: str = "eval"):
+                 running_mean: np.ndarray, running_var: np.ndarray):
         c = gamma.shape[0]
         for name, arr in (("beta", beta), ("running_mean", running_mean),
                           ("running_var", running_var)):
@@ -172,22 +173,15 @@ class BatchNorm2d:
                 raise ShapeError(f"{name} shape {arr.shape} != ({c},)")
         if np.any(running_var < 0):
             raise ValueError("running_var must be >= 0 elementwise")
-        if not 0.0 < momentum <= 1.0:
-            raise ValueError(f"momentum must lie in (0, 1], got {momentum}")
         self.gamma = Param(gamma)
         self.beta = Param(beta)
         self.running_mean = running_mean
         self.running_var = running_var
-        self.eps = eps
-        self.momentum = momentum
-        self.mode = mode
 
     @classmethod
-    def create(cls, channels: int, *, eps: float = 1e-5, momentum: float = 0.1,
-               dtype=np.float32) -> "BatchNorm2d":
+    def create(cls, channels: int, *, dtype=np.float32) -> "BatchNorm2d":
         return cls(np.ones(channels, dtype=dtype), np.zeros(channels, dtype=dtype),
-                   np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype),
-                   eps=eps, momentum=momentum)
+                   np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype))
 
     @property
     def channels(self) -> int:
@@ -577,12 +571,12 @@ def _batch_stats(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, d, var
 
 
-def batchnorm_forward(x: np.ndarray, bn: BatchNorm2d) -> np.ndarray:
-    """Train mode: gamma * (x - mean) / sqrt(var + eps) + beta with batch statistics,
-    computed in place on the centred copy; eval mode: x * scale + shift from the
-    running estimates."""
+def batchnorm_forward(x: np.ndarray, bn: BatchNorm2d, train: bool = False) -> np.ndarray:
+    """train: gamma * (x - mean) / sqrt(var + eps) + beta with batch statistics,
+    computed in place on the centred copy, moving the running estimates by
+    `bn.momentum`; eval: x * scale + shift from the running estimates."""
     _check_bn_input(x, bn)
-    if bn.mode == "train":
+    if train:
         mean, d, var = _batch_stats(x)
         m = bn.momentum
         bn.running_mean = ((1.0 - m) * bn.running_mean + m * mean).astype(x.dtype)
@@ -605,9 +599,6 @@ def batchnorm_backward(x: np.ndarray, bn: BatchNorm2d, grad_out: np.ndarray) -> 
     k2 = -k1 * inv_std^2 * sum(g*d) / m and k3 = -k1 * sum(g) / m.  The
     statistics are recomputed from x once; grad_x is built in place on d.
     """
-    if bn.mode != "train":
-        raise StateError("batchnorm_backward requires train mode; eval BN is an affine map "
-                         "(fold it into the preceding convolution instead)")
     _check_bn_input(x, bn)
     if grad_out.shape != x.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")

@@ -64,10 +64,8 @@ def fuse_identity_into_dw(dw: Conv2dLayer) -> Conv2dLayer:
 
 
 def fold_bn_into_conv(conv: Conv2dLayer, bn: BatchNorm2d) -> Conv2dLayer:
-    """Fold eval-mode BN into the preceding conv: folded(x) == bn(conv(x))."""
-    if bn.mode != "eval":
-        raise StateError("BN must be in eval mode to fold (train-mode statistics "
-                         "are input-dependent)")
+    """Fold BN as eval mode runs it (running estimates) into the preceding conv:
+    folded(x) == batchnorm_forward(conv(x), bn)."""
     if bn.channels != conv.out_channels:
         raise ShapeError(f"BN channels {bn.channels} != conv out_channels {conv.out_channels}")
     scale = bn.gamma.value / np.sqrt(bn.running_var + bn.eps)
@@ -120,7 +118,7 @@ def fuse_model(model: RapidNetModel) -> Tuple[RapidNetModel, int, int]:
     if model.mode != "eval":
         raise StateError("fusion requires an eval-mode model")
     blocks = [(name, _fuse_block(blk)) for name, blk in model.named_blocks()]
-    fused = RapidNetModel(model.config, blocks, dtype=model.dtype, fused=True)
+    fused = RapidNetModel(model.config, blocks)
     skips = sum(st.skip for _, blk in model.named_blocks() for st in stages(blk.plan))
     return fused, skips, count_batchnorms(model)
 
@@ -160,7 +158,6 @@ def recalibrate_bn(model: RapidNetModel, x: np.ndarray) -> None:
     estimates degenerate and eval-mode scales blow up.
     """
     bns = list(model.iter_batchnorms())
-    saved = [(bn, bn.momentum) for bn in bns]
     for bn in bns:
         bn.momentum = 1.0
     prev_mode = model.mode
@@ -169,5 +166,5 @@ def recalibrate_bn(model: RapidNetModel, x: np.ndarray) -> None:
         model.forward(x)
     finally:
         model.set_mode(prev_mode)
-        for bn, m in saved:
-            bn.momentum = m
+        for bn in bns:
+            del bn.momentum  # back to the class-wide 0.1

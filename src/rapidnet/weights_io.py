@@ -19,8 +19,9 @@ init), checks every conv and linear weight's name and shape against the
 entries, fuses the structure when the file is fused (the rewrite alone: the
 equivalence forward lives in `reparam.reparameterize_model`, which export
 and verify run), then checks and fills the entries one by one.  The blob
-must carry every config field plus "fused" and "dtype"; `save` writes them
-all, so a missing key is a `CorruptFileError`.
+must carry every config field plus "fused" (a JSON bool) and "dtype", which
+every entry must have; `save` writes them all, so a missing or mistyped key
+is a `CorruptFileError` and an entry of another dtype an `IntegrityError`.
 """
 
 from __future__ import annotations
@@ -138,6 +139,8 @@ def load(path: str) -> RapidNetModel:
             # `save` writes both keys, so a missing one is damage, not a default
             dtype = resolve_dtype(blob["dtype"])
             fused = blob["fused"]
+            if not isinstance(fused, bool):
+                raise TypeError(f"fused must be a bool, got {fused!r}")
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptFileError(f"unreadable config blob: {exc}") from exc
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
@@ -146,6 +149,8 @@ def load(path: str) -> RapidNetModel:
             name, arr = _read_entry(fh, end)
             if name in stored:
                 raise IntegrityError(f"duplicate tensor entry {name!r}")
+            if arr.dtype != dtype.newbyteorder("<"):
+                raise IntegrityError(f"entry {name!r} is {arr.dtype.name}, not {dtype.name}")
             stored[name] = arr
 
     try:

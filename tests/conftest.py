@@ -66,6 +66,12 @@ DEFECTIVE_CONFIGS = {
     "float_seed": lambda b: {**b, "seed": 1.5},
     "str_seed": lambda b: {**b, "seed": "7"},
     "str_use_cpe": lambda b: {**b, "use_cpe": "no"},
+    # truthy and falsy non-bools would pick fused or unfused; a non-str variant would re-save
+    "str_fused": lambda b: {**b, "fused": "false"},
+    "int_fused": lambda b: {**b, "fused": 1},
+    "null_fused": lambda b: {**b, "fused": None},
+    "int_variant": lambda b: {**b, "variant": 7},
+    "null_variant": lambda b: {**b, "variant": None},
 }
 
 

@@ -124,8 +124,7 @@ def test_c05_gradient_correctness():
              lambda x, gy: conv2d_backward(x, conv, gy).grad_input)
 
     bn = BatchNorm2d.create(4, dtype=np.float64)
-    bn.mode = "train"
-    fd_check("batchnorm", lambda t: batchnorm_forward(t, bn),
+    fd_check("batchnorm", lambda t: batchnorm_forward(t, bn, train=True),
              rng.normal((2, 4, 8, 8), dtype=np.float64),
              lambda x, gy: batchnorm_backward(x, bn, gy).grad_input)
 

@@ -324,6 +324,16 @@ class TestInferExport:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_infer_entry_dtype_mismatch_exits_two(self, checkpoint, tmp_path, capsys):
+        rewrite_config(checkpoint, lambda b: {**b, "dtype": "f64"})
+        raw = tmp_path / "input.bin"
+        raw.write_bytes(Rng(3).normal((1, 3, 32, 32)).astype("<f8").tobytes())
+        code, out, err = run(["infer", "--model", str(checkpoint), "--input", str(raw),
+                              "--shape", "1,3,32,32"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "stem.conv1.weight" in err
+
     @pytest.mark.parametrize("defect", list(DEFECTIVE_ENTRIES))
     def test_infer_defective_entry_exits_two(self, defect, checkpoint, tmp_path, capsys):
         damage_entry(checkpoint, defect)

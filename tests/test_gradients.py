@@ -100,20 +100,20 @@ class TestBatchNormBackward:
     def test_matches_finite_differences(self):
         rng = Rng(6)
         bn = BatchNorm2d.create(4, dtype=F64)
-        bn.mode = "train"
         bn.gamma.value[:] = rng.normal((4,), mean=1.0, std=0.2, dtype=F64)
         bn.beta.value[:] = rng.normal((4,), std=0.2, dtype=F64)
         x = rng.normal((2, 4, 5, 5), dtype=F64)
         gy = rng.normal(x.shape, dtype=F64)
         r = batchnorm_backward(x, bn, gy)
 
-        num_x = fd_grad(lambda t: float(np.sum(batchnorm_forward(t, bn) * gy)), x.copy())
+        num_x = fd_grad(lambda t: float(np.sum(batchnorm_forward(t, bn, train=True) * gy)),
+                        x.copy())
         assert rel_err(r.grad_input, num_x) < TOL
 
         def loss_gamma(g):
             saved = bn.gamma.value
             bn.gamma.value = g
-            out = float(np.sum(batchnorm_forward(x, bn) * gy))
+            out = float(np.sum(batchnorm_forward(x, bn, train=True) * gy))
             bn.gamma.value = saved
             return out
 

@@ -14,6 +14,7 @@ from rapidnet.model import (
     build_model,
     default_config,
 )
+from rapidnet.ops import Param
 from rapidnet.tensor import Rng
 
 
@@ -168,6 +169,39 @@ class TestForward:
         before = bn.running_mean.copy()
         model.forward(Rng(3).normal((2, 3, 32, 32)))
         assert not np.array_equal(before, bn.running_mean)
+
+
+def bn_state(model) -> list:
+    """Per BN, each attribute's object and (for tensors) its bytes."""
+    def snap(v):
+        arr = v.value if isinstance(v, Param) else v
+        return v, arr.tobytes() if isinstance(arr, np.ndarray) else arr
+    return [{k: snap(v) for k, v in vars(bn).items()} for bn in model.iter_batchnorms()]
+
+
+def changed(before: dict, after: dict) -> set:
+    assert before.keys() == after.keys()
+    return {k for k in before if before[k][0] is not after[k][0] or before[k][1] != after[k][1]}
+
+
+class TestBatchNormWrites:
+    """A forward writes nothing to a BN but, in train mode, its running statistics."""
+
+    def test_eval_forward_writes_nothing(self):
+        model = build_model(default_config("micro"))
+        before = bn_state(model)
+        model.forward(Rng(3).normal((2, 3, 32, 32)))
+        assert all(not changed(b, a) for b, a in zip(before, bn_state(model)))
+
+    def test_train_forward_writes_only_running_stats(self):
+        model = build_model(default_config("micro"))
+        model.set_mode("train")
+        before = bn_state(model)
+        model.forward(Rng(3).normal((2, 3, 32, 32)))
+        after = bn_state(model)
+        assert len(after) == len(before) > 0
+        assert all(changed(b, a) == {"running_mean", "running_var"}
+                   for b, a in zip(before, after))
 
 
 class TestIterParams:

@@ -9,7 +9,7 @@ from scipy.special import erf
 
 from conftest import rel_err
 from rapidnet import ops
-from rapidnet.errors import GeometryError, LabelError, ShapeError, StateError
+from rapidnet.errors import GeometryError, LabelError, ShapeError
 from rapidnet.ops import (
     BatchNorm2d,
     Conv2dLayer,
@@ -390,12 +390,11 @@ def textbook_bn_backward(x, bn, grad_out):
 
 
 def drawn_bn(shape, offset, const, seed, dtype):
-    """A train-mode BN with random affine, an input centred at `offset` (channel 0
-    constant when `const`, so its variance is 0) and an upstream gradient."""
+    """A BN with random affine, for train-mode calls, an input centred at `offset`
+    (channel 0 constant when `const`, so its variance is 0) and an upstream gradient."""
     rng = Rng(seed)
     c = shape[1]
     bn = BatchNorm2d.create(c, dtype=dtype)
-    bn.mode = "train"
     bn.gamma.value[:] = rng.normal((c,), dtype=dtype)
     bn.beta.value[:] = rng.normal((c,), dtype=dtype)
     x = rng.normal(shape, mean=offset, dtype=dtype)
@@ -405,7 +404,7 @@ def drawn_bn(shape, offset, const, seed, dtype):
 
 
 def fast_bn(x, bn, gy):
-    out = batchnorm_forward(x, bn)
+    out = batchnorm_forward(x, bn, train=True)
     r = batchnorm_backward(x, bn, gy)
     return out, r.grad_input, r.grad_params["gamma"], r.grad_params["beta"]
 
@@ -483,7 +482,7 @@ class TestBatchNormClosedForm:
                                                (TI_LARGEST_BN, 5.0)])
     def test_running_stats_match_textbook(self, shape, offset):
         bn, x, _ = drawn_bn(shape, offset, True, 8, np.float64)
-        batchnorm_forward(x, bn)
+        batchnorm_forward(x, bn, train=True)
         assert rel_err(bn.running_mean, 0.1 * x.mean(axis=(0, 2, 3))) < 1e-12
         assert rel_err(bn.running_var, 0.9 + 0.1 * x.var(axis=(0, 2, 3))) < 1e-12
 
@@ -491,16 +490,14 @@ class TestBatchNormClosedForm:
 class TestBatchNorm:
     def test_eval_identity_stats(self, rng):
         bn = BatchNorm2d.create(3)
-        bn.mode = "eval"
         x = rng.normal((2, 3, 4, 4))
         out = batchnorm_forward(x, bn)
         assert np.allclose(out, x / np.sqrt(1.0 + bn.eps), atol=1e-6)
 
     def test_train_normalizes(self, rng):
         bn = BatchNorm2d.create(5, dtype=np.float64)
-        bn.mode = "train"
         x = rng.normal((4, 5, 6, 6), mean=2.0, std=3.0, dtype=np.float64)
-        out = batchnorm_forward(x, bn)
+        out = batchnorm_forward(x, bn, train=True)
         mean = out.mean(axis=(0, 2, 3))
         std = out.std(axis=(0, 2, 3))
         assert np.max(np.abs(mean)) < 1e-6
@@ -510,36 +507,24 @@ class TestBatchNorm:
         bn = BatchNorm2d.create(2)
         bn.gamma.value[:] = 2.0
         bn.beta.value[:] = 3.0
-        bn.mode = "eval"
         x = rng.normal((1, 2, 3, 3))
         out = batchnorm_forward(x, bn)
         assert np.allclose(out, 2.0 * x / np.sqrt(1.0 + bn.eps) + 3.0, atol=1e-5)
 
     def test_running_stats_update(self, rng):
         bn = BatchNorm2d.create(3, dtype=np.float64)
-        bn.mode = "train"
         x = rng.normal((8, 3, 4, 4), mean=1.0, std=2.0, dtype=np.float64)
         for _ in range(300):
-            batchnorm_forward(x, bn)
+            batchnorm_forward(x, bn, train=True)
         # running stats converge to the (biased) batch statistics
         assert np.allclose(bn.running_mean, x.mean(axis=(0, 2, 3)), atol=1e-6)
         assert np.allclose(bn.running_var, x.var(axis=(0, 2, 3)), atol=1e-6)
-        bn.mode = "eval"
         eval_out = batchnorm_forward(x, bn)
-        bn.mode = "train"
-        train_out = batchnorm_forward(x, bn)
+        train_out = batchnorm_forward(x, bn, train=True)
         assert np.max(np.abs(eval_out - train_out)) < 1e-3
-
-    def test_backward_eval_rejected(self, rng):
-        bn = BatchNorm2d.create(2)
-        bn.mode = "eval"
-        x = rng.normal((1, 2, 3, 3))
-        with pytest.raises(StateError):
-            batchnorm_backward(x, bn, np.zeros_like(x))
 
     def test_backward_zero_grad(self, rng):
         bn = BatchNorm2d.create(2, dtype=np.float64)
-        bn.mode = "train"
         x = rng.normal((2, 2, 3, 3), dtype=np.float64)
         r = batchnorm_backward(x, bn, np.zeros_like(x))
         assert np.all(r.grad_input == 0)
@@ -549,7 +534,6 @@ class TestBatchNorm:
     def test_gamma_grad_of_constant_input(self):
         # constant input normalizes to ~0, so the gamma gradient vanishes
         bn = BatchNorm2d.create(2, dtype=np.float64)
-        bn.mode = "train"
         x = np.full((2, 2, 3, 3), 5.0)
         r = batchnorm_backward(x, bn, np.ones_like(x))
         assert np.max(np.abs(r.grad_params["gamma"])) < 1e-6

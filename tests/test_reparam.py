@@ -69,23 +69,28 @@ class TestBnFolding:
         bn.running_var[:] = rng.uniform((5,), 0.5, 2.0)
         bn.gamma.value[:] = rng.uniform((5,), 0.5, 1.5)
         bn.beta.value[:] = rng.normal((5,))
-        bn.mode = "eval"
         folded = fold_bn_into_conv(conv, bn)
         x = rng.normal((2, 3, 6, 6))
         want = batchnorm_forward(conv2d(x, conv), bn)
         assert np.max(np.abs(conv2d(x, folded) - want)) < 1e-5
 
-    def test_train_mode_rejected(self, rng):
-        conv = Conv2dLayer.create(3, 5, 3, rng=rng)
-        bn = BatchNorm2d.create(5)
-        bn.mode = "train"
-        with pytest.raises(StateError):
-            fold_bn_into_conv(conv, bn)
-
     def test_channel_mismatch(self, rng):
         conv = Conv2dLayer.create(3, 5, 3, rng=rng)
         with pytest.raises(ShapeError):
             fold_bn_into_conv(conv, BatchNorm2d.create(4))
+
+
+class TestRecalibrate:
+    def test_one_pass_at_momentum_one_then_defaults_restored(self):
+        model = build_model(default_config("micro"), dtype="f64")
+        x = Rng(4).normal((4, 3, 32, 32), dtype=np.float64)
+        recalibrate_bn(model, x)
+        assert model.mode == "eval"
+        stem = dict(model.named_blocks())["stem"]
+        y = conv2d(x, stem.plan[0].conv)
+        assert np.allclose(stem.plan[0].bn.running_mean, y.mean(axis=(0, 2, 3)), atol=1e-12)
+        for bn in model.iter_batchnorms():
+            assert "momentum" not in vars(bn) and bn.momentum == 0.1
 
 
 class TestMldcBlockEquivalence:

@@ -31,7 +31,7 @@ from rapidnet.errors import (
 from rapidnet.model import RapidNetModel, StageConfig, build_model, default_config
 from rapidnet.ops import Conv2dLayer
 from rapidnet.reparam import count_batchnorms, reparameterize_model
-from rapidnet.tensor import Rng
+from rapidnet.tensor import Rng, resolve_dtype
 from rapidnet.weights_io import MAGIC, load, save
 
 
@@ -188,6 +188,26 @@ class TestFastLoad:
         assert_models_equal(fused, loaded)
 
 
+class TestDerivedState:
+    """`fused` and `dtype` are read off the blocks, so they always agree with them."""
+
+    @settings(max_examples=16, derandomize=True, deadline=None)
+    @given(flags=ABLATION_FLAGS, dtype=st.sampled_from(["f32", "f64"]))
+    def test_fused_and_dtype_follow_the_blocks(self, tmp_path_factory, flags, dtype):
+        model = build_model(replace(default_config("micro"), **flags), dtype=dtype)
+        fused, _, _ = reparam.fuse_model(model)
+        assert not model.fused and fused.fused
+        path = tmp_path_factory.mktemp("ckpt") / "m.rpdn"
+        for net in (model, fused):
+            save(net, str(path))
+            for m in (net, load(str(path))):
+                assert m.fused == net.fused
+                assert m.dtype == resolve_dtype(dtype)
+                tensors = [p.value for _, p in m.iter_params()]
+                tensors += [buf for _, buf in m.iter_buffers()]
+                assert all(t.dtype == m.dtype for t in tensors)
+
+
 def fused_micro_with_stage4_channels(tmp_path, channels):
     fused, _ = reparameterize_model(build_model(default_config("micro")))
     path = tmp_path / "fused.rpdn"
@@ -303,6 +323,15 @@ class TestErrorCases:
         path = self.make_checkpoint(tmp_path)
         rewrite_config(path, DEFECTIVE_CONFIGS[defect])
         with pytest.raises(CorruptFileError):
+            load(str(path))
+
+    @pytest.mark.parametrize("saved,declared", [("f64", "f32"), ("f32", "f64")])
+    def test_entry_dtype_differs_from_config(self, saved, declared, tmp_path):
+        # loading would round f64 entries to f32, or widen f32 ones: not bitwise
+        path = tmp_path / "model.rpdn"
+        save(build_model(default_config("micro"), dtype=saved), str(path))
+        rewrite_config(path, lambda b: {**b, "dtype": declared})
+        with pytest.raises(IntegrityError, match="stem.conv1.weight"):
             load(str(path))
 
     @pytest.mark.parametrize("defect", list(DEFECTIVE_ENTRIES))
