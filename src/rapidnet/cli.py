@@ -178,10 +178,12 @@ def _verify_gradients() -> List[tuple]:
 
     # batch 2, so the depthwise kernel's plane blocks span two images.  The
     # 7x7 pad-3 depthwise conv on a 2x2 map is micro's stage-3 geometry: 40
-    # of its 49 taps read only padding and are skipped.  The dense 3x3
+    # of its 49 taps read only padding and are skipped.  On a 7x7 map it is
+    # ti's stage-4 geometry, which the row-GEMM kernel takes.  The dense 3x3
     # dilation-2 conv on a 2x2 map is micro's MLDC branch: 8 of 9 taps skipped.
     for geometry, k, pad, dil, size, groups in (("dilated depthwise", 3, 3, 3, 6, 2),
                                                 ("7x7 depthwise on 2x2", 7, 3, 1, 2, 2),
+                                                ("7x7 depthwise on 7x7", 7, 3, 1, 7, 2),
                                                 ("dilated dense on 2x2", 3, 2, 2, 2, 1)):
         x = rng.normal((2, 2, size, size), dtype=np.float64)
         conv = Conv2dLayer.create(2, 2, k, padding=pad, dilation=dil, groups=groups,

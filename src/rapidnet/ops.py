@@ -2,9 +2,15 @@
 groups), batch normalization, GeLU, pooling, linear layers, and softmax
 cross-entropy.
 
-`conv2d` and `conv2d_backward` pick a kernel from the layer's geometry:
-pointwise (1x1, stride 1, no padding, one group) convs are plain matmuls on
-[N, C, H*W]; depthwise convs run directly, without a column, over blocks of
+`conv2d` and `conv2d_backward` pick a kernel from the layer's geometry and
+the input's size (`_conv_kind`): pointwise (1x1, stride 1, no padding, one
+group) convs are plain matmuls on [N, C, H*W].  Stride-1 depthwise convs on
+small maps (padded width at most 6k, and k*N*oh >= 49) run as row GEMMs:
+each cache-sized block of channels is padded once into a channel-major
+[C, H, N, W] buffer, where each live kernel row's shifted input is one
+contiguous slice, and adds one batched matmul per live kernel row, with a
+banded [wp, ow] weight per channel.  Other depthwise convs run directly,
+without a column, over blocks of
 (image, channel) planes small enough that every per-tap pass stays in cache,
 and skip the taps that read only padding; every other conv lowers to im2col
 plus a batched matrix multiply.  The im2col column holds only the live taps
@@ -12,7 +18,7 @@ plus a batched matrix multiply.  The im2col column holds only the live taps
 in-bounds output rectangle of the unpadded input with its border strips
 zeroed, and it is multiplied by the matching weight sub-block.
 `conv2d_naive` is an explicit-loop reference used as the oracle for all
-three in tests.  Backward functions recompute what they need from (input,
+four in tests.  Backward functions recompute what they need from (input,
 layer, grad_out); there is no autograd graph.
 
 Train-mode batch norm takes its statistics once per call from the centred
@@ -50,9 +56,9 @@ _ERF_F32_DEN = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.682826
 # Elements per block of the f32 erf: a block's three f32 buffers stay in L2,
 # so the ~20 in-place passes do not stream the whole tensor from memory.
 _ERF_F32_BLOCK = 1 << 16
-# Bytes of zero-padded input per block of the direct depthwise conv; the
-# block's accumulator and tap product are about as large, so the 2*k*k
-# per-tap passes stay in L2 as well.
+# Bytes of zero-padded input per block of the direct depthwise conv and of
+# the row GEMMs; the block's accumulator and tap or row product are about as
+# large, so the per-tap or per-row passes stay in L2 as well.
 _DW_BLOCK_BYTES = 1 << 18
 
 
@@ -256,11 +262,29 @@ def _check_conv_input(x: np.ndarray, conv: Conv2dLayer) -> None:
         raise ShapeError(f"input has {x.shape[1]} channels, layer expects {conv.in_channels}")
 
 
-def _conv_kind(conv: Conv2dLayer) -> str:
-    """Which kernel `conv2d`/`conv2d_backward` run: "pointwise", "depthwise" or "im2col"."""
+def _conv_kind(conv: Conv2dLayer, shape: Tuple[int, ...]) -> str:
+    """Which kernel `conv2d`/`conv2d_backward` run on an input of `shape` [N, C, H, W]:
+    "pointwise", "rows", "depthwise" or "im2col".
+
+    A stride-1 depthwise conv with k > 1 takes the row GEMMs ("rows") when
+    both hold: the padded width wp = W + 2p is at most 6k, since a row GEMM
+    does wp/k times the MACs of the direct kernel; and k * N * oh >= 49,
+    since one channel's GEMM for one kernel row replaces k tap passes over
+    N * oh output rows, and below that the per-GEMM call overhead loses
+    (3x3 at batch 1, in the backward).  So every 7x7 layer of `ti` and
+    `micro` takes it, as do `ti`'s 14x14 and 7x7 3x3 layers at batch 8 and
+    `micro`'s 3x3 layers at batch 32; 28x28 3x3 maps (wp/k = 10), 56x56 7x7
+    maps (wp/k = 8.9), `ti`'s 3x3 layers at batch 1 and strided convs stay
+    on the direct kernel.
+    """
     if conv.kernel_size == 1 and conv.stride == 1 and conv.padding == 0 and conv.groups == 1:
         return "pointwise"
     if 1 < conv.groups == conv.in_channels == conv.out_channels:
+        n, _, h, w = shape
+        k, p = conv.kernel_size, conv.padding
+        oh = h + 2 * p - effective_kernel(k, conv.dilation) + 1
+        if conv.stride == 1 and k > 1 and w + 2 * p <= 6 * k and k * n * oh >= 49:
+            return "rows"
         return "depthwise"
     return "im2col"
 
@@ -435,14 +459,131 @@ def _depthwise_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndar
     return grad_x.reshape(x.shape), grad_w.reshape(n, c, -1).sum(axis=0)
 
 
+def _rows_plan(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int, dtype):
+    """(live row spans, live column spans, banded weights, channels per block)."""
+    n, c, h, w = x.shape
+    k, p, d = conv.kernel_size, conv.padding, conv.dilation
+    hp, wp = h + 2 * p, w + 2 * p
+    rows, cols = _tap_spans(k, d, 1, p, h, oh), _tap_spans(k, d, 1, p, w, ow)
+    per_block = max(1, min(c, _DW_BLOCK_BYTES // (hp * n * wp * np.dtype(dtype).itemsize)))
+    return rows, cols, _rows_band(conv, rows, cols, wp, ow, dtype), per_block
+
+
+def _rows_band(conv: Conv2dLayer, rows, cols, wp: int, ow: int, dtype) -> np.ndarray:
+    """Banded [wp, ow] weights of each live kernel row and channel: [rows, C, wp, ow].
+
+    band[a, c, x + j*d, x] = w[c, i_a, j] for each live tap j of live row
+    i_a; the rest is zero.  In the flat [wp*ow] matrix the entries of tap j
+    lie at j*d*ow + x*(ow + 1), so each tap is one strided slice.  Dead taps
+    are never read.
+    """
+    c, d = conv.out_channels, conv.dilation
+    w = conv.weight.value[:, 0, _tap_index(rows)].transpose(1, 0, 2)  # [rows, C, k]
+    band = np.zeros((len(rows), c, wp * ow), dtype=dtype)
+    step = ow + 1
+    for j, *_ in cols:
+        band[:, :, j * d * ow:j * d * ow + step * ow:step] = w[:, :, j, None]
+    return band.reshape(len(rows), c, wp, ow)
+
+
+def _row_blocks(x: np.ndarray, padding: int, per_block: int,
+                dtype) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, flat): channels lo:hi of x, zero-padded, as [hi - lo, hp*N, wp].
+
+    Padded row r of image b is row r*N + b, so kernel row i reads rows
+    i*d*N ... (i*d + oh)*N: one contiguous slice that holds the row-shifted
+    input of every image.  Every block is copied into the same buffer, whose
+    padding stays zero.
+    """
+    n, c, h, w = x.shape
+    p = padding
+    buf = np.zeros((per_block, h + 2 * p, n, w + 2 * p), dtype=dtype)
+    for lo in range(0, c, per_block):
+        hi = min(c, lo + per_block)
+        buf[:hi - lo, p:p + h, :, p:p + w] = x[:, lo:hi].transpose(1, 2, 0, 3)
+        yield lo, hi, buf[:hi - lo].reshape(hi - lo, -1, w + 2 * p)
+
+
+def _rows_conv(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
+    """Stride-1 depthwise conv without bias: one batched matmul per live kernel row.
+
+    For each cache-sized block of channels, out[c] = sum over live rows i of
+    flat[c, rows of i] @ band_i[c], an [N*oh, wp] @ [wp, ow] product per
+    channel.  The band's zeros multiply every input pixel of a row, so a
+    non-finite input value makes NaN of all outputs of its channel's rows,
+    not only of its receptive field.
+    """
+    n, c = x.shape[:2]
+    d = conv.dilation
+    dtype = np.result_type(x, conv.weight.value)
+    rows, _, band, per_block = _rows_plan(x, conv, oh, ow, dtype)
+    out = np.empty((n, c, oh, ow), dtype=dtype)
+    acc = np.zeros((per_block, oh * n, ow), dtype=dtype)  # stays zero if no tap is live
+    tmp = np.empty_like(acc)
+    for lo, hi, flat in _row_blocks(x, conv.padding, per_block, dtype):
+        a, t = acc[:hi - lo], tmp[:hi - lo]
+        for pos, (i, *_) in enumerate(rows):  # row 0 writes the sum, the rest add
+            np.matmul(flat[:, i * d * n:(i * d + oh) * n], band[pos, lo:hi], out=t if pos else a)
+            if pos:
+                a += t
+        out[:, lo:hi] = a.reshape(hi - lo, oh, n, ow).transpose(2, 0, 1, 3)
+    return out
+
+
+def _rows_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray,
+                        oh: int, ow: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(grad_x, grad_w as [C, k, k]) of `_rows_conv`, over the same blocks and row slices.
+
+    With grad_out transposed to go_t = [C, ow, N*oh], grad_x is built
+    transposed as well: row slice i of a zero [C, wp, hp*N] buffer gains
+    band_i @ go_t, and grad_w[c, i, j] is the j*d diagonal sum of
+    go_t @ flat_i.  Every matmul takes contiguous operands: a transposed view
+    runs 2-4x slower in numpy's batched matmul at these sizes.
+    """
+    n, c, h, w = x.shape
+    k, p, d = conv.kernel_size, conv.padding, conv.dilation
+    hp, wp = h + 2 * p, w + 2 * p
+    dtype = np.result_type(conv.weight.value, grad_out)
+    rows, cols, band, per_block = _rows_plan(x, conv, oh, ow, dtype)
+    go_buf = np.empty((per_block, ow, oh, n), dtype=dtype)
+    gx_buf = np.empty((per_block, wp, hp * n), dtype=dtype)
+    tmp = np.empty((per_block, wp, oh * n), dtype=dtype)
+    prod = np.empty((per_block, ow, wp), dtype=dtype)
+    grad_x = np.empty((n, c, h, w), dtype=dtype)
+    grad_w = np.zeros((c, k, k), dtype=dtype)
+    xs = np.arange(ow)
+    diag = np.array([j for j, *_ in cols], dtype=np.intp)[:, None] * d + xs  # [live cols, ow]
+    live_cols = _tap_index(cols)
+    for lo, hi, flat in _row_blocks(x, p, per_block, dtype):
+        go_t = go_buf[:hi - lo]
+        go_t[...] = grad_out[:, lo:hi].transpose(1, 3, 2, 0)
+        go_t = go_t.reshape(hi - lo, ow, oh * n)
+        gx, t, pr = gx_buf[:hi - lo], tmp[:hi - lo], prod[:hi - lo]
+        gx.fill(0)
+        for pos, (i, *_) in enumerate(rows):
+            window = slice(i * d * n, (i * d + oh) * n)
+            np.matmul(band[pos, lo:hi], go_t, out=t)
+            gx[:, :, window] += t
+            np.matmul(go_t, flat[:, window], out=pr)
+            grad_w[lo:hi, i, live_cols] = pr[:, xs, diag].sum(axis=-1)
+        grad_x[:, lo:hi] = gx.reshape(hi - lo, wp, hp, n)[:, p:p + w, p:p + h].transpose(3, 0, 2, 1)
+    return grad_x, grad_w
+
+
 def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
-    """Optimized convolution, dispatched on the layer's geometry. Zero padding.
+    """Optimized convolution, dispatched on the layer's geometry and input size. Zero padding.
 
     A pointwise conv (1x1, stride 1, no padding, one group) is one matmul on
-    `x` viewed as [N, C, H*W].  A depthwise conv is computed directly, one
-    cache-sized block of (image, channel) planes at a time: each live tap is
-    one multiply-add of a flat slice of the zero-padded block, and taps that
-    read only padding are skipped (`_depthwise_plan`).  Every other conv
+    `x` viewed as [N, C, H*W].  A stride-1 depthwise conv on a small map
+    (`_conv_kind` gives the rule) is a sum of row GEMMs: with a cache-sized
+    block of channels of `x` padded into a channel-major [C, hp*N, wp]
+    buffer, each live kernel row i adds flat[c, i*d*N:(i*d + oh)*N] @
+    band_i[c] for every channel c of the block in one batched matmul,
+    band_i[c] being the [wp, ow] banded matrix of that row's live taps.
+    Any other depthwise conv is computed directly, one cache-sized block of
+    (image, channel) planes at a time: each live tap is one multiply-add of
+    a flat slice of the zero-padded block, and taps that read only padding
+    are skipped (`_depthwise_plan`).  Every other conv
     (dense, dilated, strided, grouped) is im2col plus a batched matmul over
     the live taps only (`_im2col_plan`): a tap whose window lies wholly in
     padding is neither gathered nor multiplied, exactly as `conv2d_naive`
@@ -453,9 +594,11 @@ def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
     oh, ow = out_shape(h, w, conv)
     g, o = conv.groups, conv.out_channels
     wv = conv.weight.value
-    kind = _conv_kind(conv)
+    kind = _conv_kind(conv, x.shape)
     if kind == "pointwise":
         out = np.matmul(wv.reshape(o, c), x.reshape(n, c, h * w))
+    elif kind == "rows":
+        out = _rows_conv(x, conv, oh, ow)
     elif kind == "depthwise":
         out = _depthwise_conv(x, conv, oh, ow)
     else:
@@ -506,8 +649,11 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     """Gradients of sum(grad_out * conv2d(x)) w.r.t. input, weight, and bias.
 
     Dispatched like `conv2d`.  Pointwise: grad_x = W^T @ grad_out per image
-    and grad_w one contraction over (image, pixel).  Depthwise runs over the
-    forward's plane blocks and tap slices: grad_w[c, tap] sums the tap's
+    and grad_w one contraction over (image, pixel).  Row GEMMs reuse the
+    forward's row slices: grad_x scatter-adds grad_out @ band_i^T onto row
+    slice i, and grad_w[c, i, j] is the j*d diagonal sum of
+    grad_out^T @ flat_i.  Direct depthwise runs over the forward's plane
+    blocks and tap slices: grad_w[c, tap] sums the tap's
     input slice times grad_out (zero in the cropped columns), and grad_x
     adds grad_out * w[c, tap] into a zero-padded block once per live tap.
     Otherwise the live-tap im2col column gives grad_w on the live taps
@@ -522,11 +668,13 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
             f"grad_out shape {grad_out.shape} != {(n, conv.out_channels, oh, ow)}")
     g, o = conv.groups, conv.out_channels
     wv = conv.weight.value
-    kind = _conv_kind(conv)
+    kind = _conv_kind(conv, x.shape)
     if kind == "pointwise":
         go = grad_out.reshape(n, o, h * w)
         grad_w = _channel_major(go) @ _channel_major(x).T
         grad_x = np.matmul(wv.reshape(o, c).T, go).reshape(x.shape)
+    elif kind == "rows":
+        grad_x, grad_w = _rows_conv_backward(x, conv, grad_out, oh, ow)
     elif kind == "depthwise":
         grad_x, grad_w = _depthwise_conv_backward(x, conv, grad_out, oh, ow)
     else:

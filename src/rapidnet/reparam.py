@@ -11,9 +11,11 @@ Outer block residuals wrap non-linear paths and are kept as explicit adds.
 Both rewrites act on the blocks' stage plans: a fused block is a shallow copy
 whose plan holds the folded convs with no BN and no skip.  `fuse_model` is
 that copy mapped over the model's block list, with the fusion counts read
-off the source model; `reparameterize_model` adds a seeded two-forward
-equivalence check.  Both return a new model and leave the input model
-untouched.
+off the source model; `fused_structure` is the same walk with the folding
+left out, for a loader that fills every tensor itself.
+`reparameterize_model` adds a seeded two-forward equivalence check.  Both
+`fuse_model` and `reparameterize_model` return a new model and leave the
+input model untouched.
 """
 
 from __future__ import annotations
@@ -86,26 +88,49 @@ def _clone(layer):
                        padding=layer.padding, dilation=layer.dilation, groups=layer.groups)
 
 
-def _fuse_stage(st: Stage) -> Stage:
-    if st.conv is None:
-        return st
+def _folded_conv(st: Stage):
+    """The stage's conv with its skip folded into the kernel and its BN into the conv."""
     # each rewrite returns fresh tensors, so only an untouched conv needs a copy
     conv = fuse_identity_into_dw(st.conv) if st.skip else st.conv
     if st.bn is not None:
         conv = fold_bn_into_conv(conv, st.bn)
     elif not st.skip:
         conv = _clone(conv)
-    return st._replace(conv=conv, bn=None, skip=False)
+    return conv
 
 
-def _fuse_block(block):
-    """Copy of `block` with each skip folded into its kernel and each BN into its conv."""
+def _unfolded_conv(st: Stage):
+    """The stage's conv as `_folded_conv` shapes it, with no arithmetic: its own
+    tensors, plus a zero bias where folding a BN would add one."""
+    conv = st.conv
+    if st.bn is None or conv.bias is not None:
+        return conv
+    w = conv.weight.value
+    return Conv2dLayer(w, np.zeros(conv.out_channels, dtype=w.dtype), stride=conv.stride,
+                       padding=conv.padding, dilation=conv.dilation, groups=conv.groups)
+
+
+def _fuse_block(block, fuse_conv=_folded_conv):
+    """Copy of `block` whose stages hold `fuse_conv(stage)` with no BN and no skip."""
+    def fuse_stage(st: Stage) -> Stage:
+        if st.conv is None:
+            return st
+        return st._replace(conv=fuse_conv(st), bn=None, skip=False)
+
     out = copy.copy(block)
     out._cache = None
-    out.plan = [item._replace(stages=[_fuse_stage(st) for st in item.stages])
-                if isinstance(item, Parallel) else _fuse_stage(item)
+    out.plan = [item._replace(stages=[fuse_stage(st) for st in item.stages])
+                if isinstance(item, Parallel) else fuse_stage(item)
                 for item in block.plan]
     return out
+
+
+def _fused(model: RapidNetModel, fuse_conv) -> RapidNetModel:
+    """The model's block list with every block passed through `_fuse_block`."""
+    if model.mode != "eval":
+        raise StateError("fusion requires an eval-mode model")
+    return RapidNetModel(model.config, [(name, _fuse_block(blk, fuse_conv))
+                                        for name, blk in model.named_blocks()])
 
 
 def fuse_model(model: RapidNetModel) -> Tuple[RapidNetModel, int, int]:
@@ -115,12 +140,19 @@ def fuse_model(model: RapidNetModel) -> Tuple[RapidNetModel, int, int]:
     linear layer keeps its name, shape and geometry.  The input model must
     be in eval mode and is not mutated.
     """
-    if model.mode != "eval":
-        raise StateError("fusion requires an eval-mode model")
-    blocks = [(name, _fuse_block(blk)) for name, blk in model.named_blocks()]
-    fused = RapidNetModel(model.config, blocks)
+    fused = _fused(model, _folded_conv)
     skips = sum(st.skip for _, blk in model.named_blocks() for st in stages(blk.plan))
     return fused, skips, count_batchnorms(model)
+
+
+def fused_structure(model: RapidNetModel) -> RapidNetModel:
+    """The structure `fuse_model` returns (names, shapes, geometry, dtype), without its arithmetic.
+
+    For a caller that overwrites every tensor next, as `weights_io.load` of a
+    fused checkpoint does: no skip or BN is folded, and each conv keeps the
+    source model's tensors, so the source model must not be used afterwards.
+    """
+    return _fused(model, _unfolded_conv)
 
 
 def reparameterize_model(model: RapidNetModel) -> tuple:

@@ -16,12 +16,14 @@ buffer, named exactly as `iter_params` / `iter_buffers` name them, so a
 round trip reproduces the model bitwise.  The config blob makes the file
 self-describing: `load` builds a zero-filled structure from it (no random
 init), checks every conv and linear weight's name and shape against the
-entries, fuses the structure when the file is fused (the rewrite alone: the
-equivalence forward lives in `reparam.reparameterize_model`, which export
-and verify run), then checks and fills the entries one by one.  The blob
-must carry every config field plus "fused" (a JSON bool) and "dtype", which
-every entry must have; `save` writes them all, so a missing or mistyped key
-is a `CorruptFileError` and an entry of another dtype an `IntegrityError`.
+entries, gives it the fused structure when the file is fused
+(`reparam.fused_structure`: no BN is folded, since the fill overwrites every
+tensor; the equivalence forward lives in `reparam.reparameterize_model`,
+which export and verify run), then checks and fills the entries one by one.
+The blob must carry every config field plus "fused" (a JSON bool) and
+"dtype", which every entry must have; `save` writes them all, so a missing
+or mistyped key is a `CorruptFileError` and an entry of another dtype an
+`IntegrityError`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import CorruptFileError, FormatError, IntegrityError, VersionError
 from .model import ModelConfig, RapidNetModel, build_model
-from .reparam import fuse_model
+from .reparam import fused_structure
 from .tensor import resolve_dtype
 
 MAGIC = b"RPDN"
@@ -169,7 +171,7 @@ def load(path: str) -> RapidNetModel:
                 raise IntegrityError(f"weight {name!r} is {found}, the "
                                      f"{cfg.variant!r} config declares {p.shape}")
     if fused:
-        model, _, _ = fuse_model(model)
+        model = fused_structure(model)
 
     expected = {name: p.value for name, p in model.iter_params()}
     buffers = dict(model.iter_buffers())

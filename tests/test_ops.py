@@ -58,6 +58,13 @@ DENSE_DEAD_TAPS = dict(k=3, d=2, s=1, p=2, c=3, c_out=2, depthwise=False, bias=T
                        extra_h=1, extra_w=1, seed=5)
 NO_LIVE_TAP = dict(k=1, d=1, s=2, p=1, c=3, c_out=2, depthwise=False, bias=True,
                    extra_h=0, extra_w=0, seed=6)
+# Depthwise draws the row-GEMM kernel owns at batch 2 and 3: a 7x7 pad-3
+# conv on a 4x3 map, and the same at dilation 2 on a 10x8 map, where 24 of
+# the 49 taps read only padding.
+ROWS = dict(k=7, d=1, s=1, p=3, c=3, c_out=3, depthwise=True, bias=True,
+            extra_h=3, extra_w=2, seed=7)
+ROWS_DILATED = dict(k=7, d=2, s=1, p=3, c=3, c_out=3, depthwise=True, bias=False,
+                    extra_h=3, extra_w=1, seed=8)
 
 
 def drawn_conv(n, k, d, s, p, c, c_out, depthwise, bias, extra_h, extra_w, seed):
@@ -208,6 +215,8 @@ class TestConvOracle:
     @example(n=2, **STRIDED_DILATED)
     @example(n=2, **DENSE_DEAD_TAPS)
     @example(n=2, **NO_LIVE_TAP)
+    @example(n=2, **ROWS)
+    @example(n=2, **ROWS_DILATED)
     def test_property_matches_naive(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert x.dtype == conv.weight.value.dtype == np.float64
@@ -221,6 +230,8 @@ class TestConvOracle:
     @example(n=3, **STRIDED_DILATED)
     @example(n=3, **DENSE_DEAD_TAPS)
     @example(n=3, **NO_LIVE_TAP)
+    @example(n=3, **ROWS)
+    @example(n=3, **ROWS_DILATED)
     def test_property_backward_adjoint(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert_adjoint(conv, x, space["seed"] + 1)
@@ -279,6 +290,65 @@ class TestDepthwiseKernel:
     ])
     def test_dead_tap_weights_never_read(self, n, h, w, k, kw, n_dead):
         assert_dead_taps_never_read(n, h, w, k, kw, n_dead, c_in=3, c_out=3, groups=3)
+
+
+class TestRowsKernel:
+    """The row-GEMM kernel against the direct depthwise kernel it replaces.
+
+    Tolerances, relative to the largest reference magnitude (`rel_err`): in
+    f64 the output, grad_x and grad_w match the direct kernel to 1e-10; in
+    f32 each is within 1e-5 of the direct kernel run in f64 on the same
+    values.  The geometries are ti's and micro's 7x7 layers and ti's b8
+    3x3 layers at fewer channels, plus a dilation-2 7x7.
+    """
+
+    # (8, 48, 14, 7) spans three channel blocks in f32 and five in f64
+    GEOMETRIES = [(8, 48, 14, 7, 1), (2, 16, 7, 7, 1), (32, 8, 2, 7, 1), (32, 8, 1, 7, 1),
+                  (4, 8, 14, 7, 2), (8, 16, 14, 3, 1), (8, 16, 7, 3, 1)]
+
+    @staticmethod
+    def direct(x, conv, gy):
+        oh, ow = out_shape(x.shape[2], x.shape[3], conv)
+        grad_x, grad_w = ops._depthwise_conv_backward(x, conv, gy, oh, ow)
+        return ops._depthwise_conv(x, conv, oh, ow), grad_x, grad_w.reshape(conv.weight.shape)
+
+    @pytest.mark.parametrize("n, c, size, k, d", GEOMETRIES)
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
+    def test_matches_direct_kernel(self, n, c, size, k, d, dtype, tol):
+        rng = Rng(size + k)
+        conv = make_conv(c, c, k, padding=d * (k // 2), dilation=d, groups=c, bias=False,
+                         rng=rng, dtype=np.float64)
+        x = rng.normal((n, c, size, size), dtype=np.float64)
+        gy = rng.normal((n, c, size, size), dtype=np.float64)
+        assert ops._conv_kind(conv, x.shape) == "rows"
+        refs = self.direct(x.astype(dtype).astype(np.float64), conv, gy.astype(dtype))
+        if dtype == np.float32:
+            conv.weight.value = conv.weight.value.astype(dtype)
+            x, gy = x.astype(dtype), gy.astype(dtype)
+        r = conv2d_backward(x, conv, gy)
+        got = (conv2d(x, conv), r.grad_input, r.grad_params["weight"])
+        for g, ref in zip(got, refs):
+            assert g.dtype == dtype and g.shape == ref.shape
+            assert rel_err(g, ref) < tol
+
+    @pytest.mark.parametrize("dtype, blocks", [(np.float32, 3), (np.float64, 5)])
+    def test_geometry_spans_channel_blocks(self, dtype, blocks):
+        # the premise of the (8, 48, 14, 7) geometry above
+        conv = make_conv(48, 48, 7, padding=3, groups=48, dtype=dtype)
+        x = np.zeros((8, 48, 14, 14), dtype=dtype)
+        per_block = ops._rows_plan(x, conv, 14, 14, dtype)[3]
+        assert -(-48 // per_block) == blocks and 48 % per_block
+
+    @pytest.mark.parametrize("n, h, w, n_dead", [
+        (8, 1, 1, 48),                                            # micro's stage-4 7x7
+        (4, 2, 2, 40),                                            # micro's stage-3 7x7
+        (4, 2, 5, 28),
+    ])
+    def test_dead_tap_weights_never_read(self, n, h, w, n_dead):
+        conv = make_conv(3, 3, 7, padding=3, groups=3)
+        assert ops._conv_kind(conv, (n, 3, h, w)) == "rows"
+        assert_dead_taps_never_read(n, h, w, 7, dict(padding=3), n_dead,
+                                    c_in=3, c_out=3, groups=3)
 
 
 def assert_dead_taps_never_read(n, h, w, k, kw, n_dead, c_in, c_out, groups):
@@ -354,7 +424,48 @@ class TestConvDispatch:
         (1, 1, 3, {}, "im2col"),
     ])
     def test_kind_from_geometry(self, c_in, c_out, k, kw, kind):
-        assert ops._conv_kind(make_conv(c_in, c_out, k, **kw)) == kind
+        # on a 56x56 map at batch 8, the only small-map kind is out of reach
+        assert ops._conv_kind(make_conv(c_in, c_out, k, **kw), (8, c_in, 56, 56)) == kind
+
+    @pytest.mark.parametrize("n, size, k, kw, kind", [
+        (8, 14, 7, dict(padding=3), "rows"),                      # ti stage-3 CPE / LK-FFN
+        (8, 7, 7, dict(padding=3), "rows"),                       # ti stage 4
+        (1, 14, 7, dict(padding=3), "rows"),
+        (1, 7, 7, dict(padding=3), "rows"),                       # k * N * oh = 49 exactly
+        (32, 2, 7, dict(padding=3), "rows"),                      # micro stage 3
+        (32, 1, 7, dict(padding=3), "rows"),                      # micro stage 4
+        (8, 28, 7, dict(padding=3), "rows"),
+        (8, 36, 7, dict(padding=3), "rows"),                      # wp = 42
+        (2, 10, 7, dict(padding=3, dilation=2), "rows"),
+        (8, 14, 3, dict(padding=1), "rows"),                      # ti stage-3 IRB at b8
+        (8, 16, 3, dict(padding=1), "rows"),                      # wp = 18
+        (8, 7, 3, dict(padding=1), "rows"),                       # ti stage-4 IRB at b8
+        (32, 8, 3, dict(padding=1), "rows"),                      # micro stage 1
+        (8, 56, 7, dict(padding=3), "depthwise"),                 # wp = 62 > 42
+        (8, 37, 7, dict(padding=3), "depthwise"),                 # wp = 43 > 42
+        (8, 17, 3, dict(padding=1), "depthwise"),                 # wp = 19 > 18
+        (8, 28, 3, dict(padding=1), "depthwise"),                 # ti stage-2 IRB at b8
+        (1, 14, 3, dict(padding=1), "depthwise"),                 # ti stage-3 IRB at b1
+        (2, 8, 3, dict(padding=1), "depthwise"),                  # k * N * oh = 48 < 49
+        (1, 7, 3, dict(padding=1), "depthwise"),                  # ti stage-4 IRB at b1
+        (1, 1, 7, dict(padding=3), "depthwise"),                  # one tap row of one pixel
+        (8, 7, 7, dict(stride=2, padding=3), "depthwise"),
+        (8, 7, 1, {}, "depthwise"),
+    ])
+    def test_small_map_kind(self, n, size, k, kw, kind):
+        # the kind follows from the geometry and the input's size, nothing else
+        conv = make_conv(8, 8, k, groups=8, **kw)
+        assert ops._conv_kind(conv, (n, 8, size, size)) == kind
+
+    @pytest.mark.parametrize("n, space, kind", [
+        (2, POINTWISE, "pointwise"), (2, DEPTHWISE, "depthwise"), (2, DEAD_TAPS, "depthwise"),
+        (2, STRIDED_DILATED, "depthwise"), (2, DENSE_DEAD_TAPS, "im2col"),
+        (2, NO_LIVE_TAP, "im2col"), (2, ROWS, "rows"), (3, ROWS, "rows"),
+        (2, ROWS_DILATED, "rows"), (3, ROWS_DILATED, "rows"),
+    ])
+    def test_property_examples_reach_their_kernel(self, n, space, kind):
+        conv, x = drawn_conv(n, **space)
+        assert ops._conv_kind(conv, x.shape) == kind
 
     def test_kernel_size_below_one_rejected(self):
         for k in (0, -3):

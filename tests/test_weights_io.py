@@ -187,6 +187,43 @@ class TestFastLoad:
         assert loaded.fused
         assert_models_equal(fused, loaded)
 
+    def test_fused_load_folds_nothing(self, tmp_path, monkeypatch):
+        # the fill overwrites every tensor, so folding BN into the zero-filled
+        # structure first would be thrown away
+        fused, _ = reparameterize_model(build_model(default_config("micro")))
+        path = tmp_path / "fused.rpdn"
+        save(fused, str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load must not call this")
+
+        monkeypatch.setattr(reparam, "fold_bn_into_conv", refuse)
+        monkeypatch.setattr(reparam, "fuse_identity_into_dw", refuse)
+        loaded = load(str(path))
+        assert loaded.fused
+        assert_models_equal(fused, loaded)
+
+    @settings(max_examples=16, derandomize=True, deadline=None)
+    @given(flags=ABLATION_FLAGS, dtype=st.sampled_from(["f32", "f64"]))
+    def test_fused_structure_is_the_fused_model_unfilled(self, flags, dtype):
+        # same names, shapes, dtypes and conv geometry as `fuse_model`, with
+        # the source model's tensors left unfolded
+        source = build_model(replace(default_config("micro"), **flags), dtype=dtype)
+        randomize_bn_stats(source, seed=5)
+        weights = {name: p.value for name, p in source.iter_params()}
+        fused, _, _ = reparam.fuse_model(source)
+        shell = reparam.fused_structure(source)
+        assert shell.fused and shell.dtype == fused.dtype
+        assert [(n, p.shape, p.value.dtype) for n, p in shell.iter_params()] == \
+            [(n, p.shape, p.value.dtype) for n, p in fused.iter_params()]
+        assert shell.iter_buffers() == [] == fused.iter_buffers()
+        assert conv_geometry(shell) == conv_geometry(fused)
+        for name, p in shell.iter_params():
+            if name in weights:
+                assert p.value is weights[name]
+            else:
+                assert name.endswith(".bias") and not p.value.any()
+
 
 class TestDerivedState:
     """`fused` and `dtype` are read off the blocks, so they always agree with them."""
