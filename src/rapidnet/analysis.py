@@ -23,14 +23,14 @@ from typing import List, Optional, Tuple
 from .blocks import Parallel, Stage, item_stages
 from .errors import GeometryError
 from .model import ModelConfig, RapidNetModel, build_model
-from .ops import BatchNorm2d, Conv2dLayer, LinearLayer, out_shape
+from .ops import BatchNorm2d, Conv2dLayer, LinearLayer, effective_kernel, out_shape
 
 
 def layer_trf(k: int, d: int) -> int:
     """Side length of the theoretical receptive field of a k x k kernel at dilation d."""
     if k < 1 or d < 1:
         raise ValueError(f"kernel and dilation must be >= 1, got k={k}, d={d}")
-    return (k - 1) * d + 1
+    return effective_kernel(k, d)
 
 
 def conv_macs(conv: Conv2dLayer, out_h: int, out_w: int, n: int = 1) -> int:

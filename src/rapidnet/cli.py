@@ -34,6 +34,7 @@ from .ops import (
     conv2d,
     conv2d_backward,
     conv2d_naive,
+    effective_kernel,
 )
 from .tensor import DTYPES, Rng, resolve_dtype
 
@@ -259,8 +260,7 @@ def cmd_verify(args) -> int:
         s = int(oracle_rng.integers(1, 3))
         c = int(oracle_rng.integers(1, 5))
         groups = 1 if oracle_rng.integers(0, 2) == 0 else c
-        k_eff = (k - 1) * d + 1
-        h = k_eff + int(oracle_rng.integers(0, 4))
+        h = effective_kernel(k, d) + int(oracle_rng.integers(0, 4))
         conv = Conv2dLayer.create(c, c, k, stride=s, padding=int(oracle_rng.integers(0, 3)),
                                   dilation=d, groups=groups, bias=True,
                                   rng=oracle_rng, dtype=dt)

@@ -4,19 +4,19 @@ cross-entropy.
 
 `conv2d` and `conv2d_backward` pick a kernel from the layer's geometry and
 the input's size (`_conv_kind`): pointwise (1x1, stride 1, no padding, one
-group) convs are plain matmuls on [N, C, H*W].  Stride-1 depthwise convs on
-small maps (padded width at most 6k, and k*N*oh >= 49) run as row GEMMs:
-each cache-sized block of channels is padded once into a channel-major
-[C, H, N, W] buffer, where each live kernel row's shifted input is one
-contiguous slice, and adds one batched matmul per live kernel row, with a
-banded [wp, ow] weight per channel.  Other depthwise convs run directly,
-without a column, over blocks of
-(image, channel) planes small enough that every per-tap pass stays in cache,
-and skip the taps that read only padding; every other conv lowers to im2col
-plus a batched matrix multiply.  The im2col column holds only the live taps
-(those whose window reads at least one input pixel), each copied from its
-in-bounds output rectangle of the unpadded input with its border strips
-zeroed, and it is multiplied by the matching weight sub-block.
+group) convs are plain matmuls on [N, C, H*W].  Both stride-1 depthwise
+kernels pad one cache-sized block of channels at a time into the same
+channel-major [C, hp*N + 1, wp] layout (`_row_blocks`), in which a live
+kernel row's shifted input is one contiguous row slice and a live tap's is
+one flat slice; taps that read only padding are skipped.  On small maps
+(padded width at most 6k, and k*N*oh >= 49) each live kernel row adds one
+batched matmul with a banded [wp, ow] weight per channel ("rows"); on other
+maps each live tap adds one multiply of its slice by the tap's weight
+("depthwise").  Every other conv, strided depthwise ones included, lowers
+to im2col plus a batched matrix multiply.  The im2col column holds only the
+live taps (those whose window reads at least one input pixel), each copied
+from its in-bounds output rectangle of the unpadded input with its border
+strips zeroed, and it is multiplied by the matching weight sub-block.
 `conv2d_naive` is an explicit-loop reference used as the oracle for all
 four in tests.  Backward functions recompute what they need from (input,
 layer, grad_out); there is no autograd graph.
@@ -110,9 +110,8 @@ class Conv2dLayer:
         if stride < 1 or dilation < 1 or groups < 1 or padding < 0:
             raise ValueError("stride/dilation/groups must be >= 1 and padding >= 0")
         out_channels = weight.shape[0]
-        in_channels = weight.shape[1] * groups
-        if out_channels % groups != 0 or in_channels % groups != 0:
-            raise ShapeError(f"groups={groups} must divide in={in_channels} and out={out_channels}")
+        if out_channels % groups != 0:
+            raise ShapeError(f"groups={groups} must divide out_channels={out_channels}")
         if bias is not None and bias.shape != (out_channels,):
             raise ShapeError(f"bias shape {bias.shape} != ({out_channels},)")
         self.weight = Param(weight)
@@ -274,16 +273,19 @@ def _conv_kind(conv: Conv2dLayer, shape: Tuple[int, ...]) -> str:
     (3x3 at batch 1, in the backward).  So every 7x7 layer of `ti` and
     `micro` takes it, as do `ti`'s 14x14 and 7x7 3x3 layers at batch 8 and
     `micro`'s 3x3 layers at batch 32; 28x28 3x3 maps (wp/k = 10), 56x56 7x7
-    maps (wp/k = 8.9), `ti`'s 3x3 layers at batch 1 and strided convs stay
-    on the direct kernel.
+    maps (wp/k = 8.9) and `ti`'s 3x3 layers at batch 1 stay on the direct
+    kernel ("depthwise").  Both run on the same padded blocks (`_dw_plan`,
+    `_row_blocks`).  A strided depthwise conv takes the grouped im2col: in
+    the shared layout a stride-s tap is one slice only when N == 1, and no
+    RapidNet layer is one.
     """
     if conv.kernel_size == 1 and conv.stride == 1 and conv.padding == 0 and conv.groups == 1:
         return "pointwise"
-    if 1 < conv.groups == conv.in_channels == conv.out_channels:
+    if conv.stride == 1 and 1 < conv.groups == conv.in_channels == conv.out_channels:
         n, _, h, w = shape
         k, p = conv.kernel_size, conv.padding
         oh = h + 2 * p - effective_kernel(k, conv.dilation) + 1
-        if conv.stride == 1 and k > 1 and w + 2 * p <= 6 * k and k * n * oh >= 49:
+        if k > 1 and w + 2 * p <= 6 * k and k * n * oh >= 49:
             return "rows"
         return "depthwise"
     return "im2col"
@@ -373,100 +375,101 @@ def _col2im(gcol: np.ndarray, shape: Tuple[int, ...], stride: int, rows, cols) -
     return img
 
 
-def _depthwise_plan(x: np.ndarray, conv: Conv2dLayer, oh: int,
-                    ow: int) -> Tuple[int, int, int, List[Tuple[int, int]]]:
-    """(hp, wp, planes per block, live (tap, flat offset) pairs) of the direct depthwise kernel.
-
-    Each (image, channel) plane is zero-padded to [hp, wp], wp = w + 2p.
-    Output (y, x) of tap (i, j) then reads flat index s*(y*wp + x) + offset,
-    offset = (i*wp + j)*d, so one tap over a plane is one slice of oh*wp
-    elements at step s; the wp - ow columns past the output are cropped.  The
-    s slack rows keep the last slice in bounds.
-    """
-    n, c, h, w = x.shape
-    k, s, p, d = conv.kernel_size, conv.stride, conv.padding, conv.dilation
-    hp, wp = h + 2 * p + s, w + 2 * p
-    per_block = max(1, min(n * c, _DW_BLOCK_BYTES // (hp * wp * x.itemsize)))
-    taps = [(i * k + j, (i * wp + j) * d)
-            for i, *_ in _tap_spans(k, d, s, p, h, oh) for j, *_ in _tap_spans(k, d, s, p, w, ow)]
-    return hp, wp, per_block, taps
-
-
-def _padded_blocks(x: np.ndarray, padding: int, hp: int, wp: int,
-                   per_block: int) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, flat): planes lo:hi of x as [hi - lo, hp*wp], zero-padded.
-
-    Every block is copied into the same buffer, whose padding stays zero.
-    """
-    n, c, h, w = x.shape
-    planes = x.reshape(n * c, h, w)
-    buf = np.zeros((per_block, hp, wp), dtype=x.dtype)
-    for lo in range(0, n * c, per_block):
-        hi = min(n * c, lo + per_block)
-        buf[:hi - lo, padding:padding + h, padding:padding + w] = planes[lo:hi]
-        yield lo, hi, buf[:hi - lo].reshape(hi - lo, hp * wp)
-
-
-def _depthwise_conv(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
-    """Depthwise conv without bias, one cache-sized block of planes at a time."""
-    n, c, _, _ = x.shape
-    s = conv.stride
-    hp, wp, per_block, taps = _depthwise_plan(x, conv, oh, ow)
-    span = oh * wp
-    wt = np.tile(conv.weight.value.reshape(c, -1), (n, 1))  # [N*C, k*k]: plane -> weights
-    dtype = np.result_type(x, wt)
-    out = np.empty((n * c, oh, ow), dtype=dtype)
-    acc = np.zeros((per_block, span), dtype=dtype)  # stays zero if no tap is live
-    tmp = np.empty_like(acc)
-    for lo, hi, flat in _padded_blocks(x, conv.padding, hp, wp, per_block):
-        a, t = acc[:hi - lo], tmp[:hi - lo]
-        for pos, (tap, off) in enumerate(taps):  # tap 0 writes the accumulator, the rest add
-            np.multiply(flat[:, off:off + s * span:s], wt[lo:hi, tap, None],
-                        out=t if pos else a)
-            if pos:
-                a += t
-        out[lo:hi] = a.reshape(-1, oh, wp)[:, :, :ow]
-    return out.reshape(n, c, oh, ow)
-
-
-def _depthwise_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray,
-                             oh: int, ow: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(grad_x, grad_w) of `_depthwise_conv`, over the same blocks and tap slices."""
-    n, c, h, w = x.shape
-    s, p = conv.stride, conv.padding
-    hp, wp, per_block, taps = _depthwise_plan(x, conv, oh, ow)
-    span = oh * wp
-    wt = np.tile(conv.weight.value.reshape(c, -1), (n, 1))
-    dtype = np.result_type(wt, grad_out)
-    go_planes = grad_out.reshape(n * c, oh, ow)
-    go_buf = np.zeros((per_block, oh, wp), dtype=dtype)  # columns past ow stay zero
-    gx_buf = np.empty((per_block, hp, wp), dtype=dtype)
-    tmp = np.empty((per_block, span), dtype=dtype)
-    grad_w = np.zeros(wt.shape, dtype=dtype)
-    grad_x = np.empty((n * c, h, w), dtype=dtype)
-    for lo, hi, flat in _padded_blocks(x, p, hp, wp, per_block):
-        go_buf[:hi - lo, :, :ow] = go_planes[lo:hi]
-        go = go_buf[:hi - lo].reshape(-1, span)
-        gx, t = gx_buf[:hi - lo], tmp[:hi - lo]
-        gx.fill(0)
-        gx_flat = gx.reshape(-1, hp * wp)
-        for tap, off in taps:
-            window = slice(off, off + s * span, s)
-            grad_w[lo:hi, tap] = np.einsum("ql,ql->q", flat[:, window], go)
-            np.multiply(go, wt[lo:hi, tap, None], out=t)
-            gx_flat[:, window] += t
-        grad_x[lo:hi] = gx[:, p:p + h, p:p + w]
-    return grad_x.reshape(x.shape), grad_w.reshape(n, c, -1).sum(axis=0)
-
-
-def _rows_plan(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int, dtype):
-    """(live row spans, live column spans, banded weights, channels per block)."""
+def _dw_plan(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int, dtype):
+    """(live row spans, live column spans, channels per `_row_blocks` block) of both
+    stride-1 depthwise kernels."""
     n, c, h, w = x.shape
     k, p, d = conv.kernel_size, conv.padding, conv.dilation
     hp, wp = h + 2 * p, w + 2 * p
     rows, cols = _tap_spans(k, d, 1, p, h, oh), _tap_spans(k, d, 1, p, w, ow)
-    per_block = max(1, min(c, _DW_BLOCK_BYTES // (hp * n * wp * np.dtype(dtype).itemsize)))
-    return rows, cols, _rows_band(conv, rows, cols, wp, ow, dtype), per_block
+    per_block = max(1, min(c, _DW_BLOCK_BYTES // ((hp * n + 1) * wp * np.dtype(dtype).itemsize)))
+    return rows, cols, per_block
+
+
+def _row_blocks(x: np.ndarray, padding: int, per_block: int,
+                dtype) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, flat): channels lo:hi of x, zero-padded, as [hi - lo, hp*N + 1, wp].
+
+    Padded row r of image b is row r*N + b, so kernel row i reads rows
+    i*d*N ... (i*d + oh)*N: one contiguous slice that holds the row-shifted
+    input of every image.  Flattened per channel, output (y, b, x) of tap
+    (i, j) reads element (y*N + b)*wp + x + (i*N*wp + j)*d, so one tap is
+    one slice of oh*N*wp elements; the one zero slack row keeps the last
+    such slice in bounds.  Every block is copied into the same buffer, whose
+    padding stays zero.
+    """
+    n, c, h, w = x.shape
+    p = padding
+    hp, wp = h + 2 * p, w + 2 * p
+    buf = np.zeros((per_block, hp * n + 1, wp), dtype=dtype)
+    planes = buf[:, :-1].reshape(per_block, hp, n, wp)
+    for lo in range(0, c, per_block):
+        hi = min(c, lo + per_block)
+        planes[:hi - lo, p:p + h, :, p:p + w] = x[:, lo:hi].transpose(1, 2, 0, 3)
+        yield lo, hi, buf[:hi - lo]
+
+
+def _dw_taps(conv: Conv2dLayer, n: int, wp: int, rows, cols) -> List[Tuple[int, int]]:
+    """(tap, flat offset) of each live tap in the `_row_blocks` layout."""
+    k, d = conv.kernel_size, conv.dilation
+    return [(i * k + j, (i * n * wp + j) * d) for i, *_ in rows for j, *_ in cols]
+
+
+def _depthwise_conv(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
+    """Stride-1 depthwise conv without bias: one multiply-add of a flat slice per live tap.
+
+    Each tap is one pass over a cache-sized block of channels; the wp - ow
+    columns past the output are cropped.
+    """
+    n, c, _, w = x.shape
+    wp = w + 2 * conv.padding
+    span = oh * n * wp
+    wt = conv.weight.value.reshape(c, -1)
+    dtype = np.result_type(x, wt)
+    rows, cols, per_block = _dw_plan(x, conv, oh, ow, dtype)
+    taps = _dw_taps(conv, n, wp, rows, cols)
+    out = np.empty((n, c, oh, ow), dtype=dtype)
+    acc = np.zeros((per_block, span), dtype=dtype)  # stays zero if no tap is live
+    tmp = np.empty_like(acc)
+    for lo, hi, block in _row_blocks(x, conv.padding, per_block, dtype):
+        flat, a, t = block.reshape(hi - lo, -1), acc[:hi - lo], tmp[:hi - lo]
+        for pos, (tap, off) in enumerate(taps):  # tap 0 writes the accumulator, the rest add
+            np.multiply(flat[:, off:off + span], wt[lo:hi, tap, None], out=t if pos else a)
+            if pos:
+                a += t
+        out[:, lo:hi] = a.reshape(hi - lo, oh, n, wp)[..., :ow].transpose(2, 0, 1, 3)
+    return out
+
+
+def _depthwise_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray,
+                             oh: int, ow: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(grad_x, grad_w as [C, k*k]) of `_depthwise_conv`, over the same blocks and tap slices."""
+    n, c, h, w = x.shape
+    p = conv.padding
+    hp, wp = h + 2 * p, w + 2 * p
+    span = oh * n * wp
+    wt = conv.weight.value.reshape(c, -1)
+    dtype = np.result_type(wt, grad_out)
+    rows, cols, per_block = _dw_plan(x, conv, oh, ow, dtype)
+    taps = _dw_taps(conv, n, wp, rows, cols)
+    go_buf = np.zeros((per_block, oh, n, wp), dtype=dtype)  # columns past ow stay zero
+    gx_buf = np.empty((per_block, (hp * n + 1) * wp), dtype=dtype)
+    tmp = np.empty((per_block, span), dtype=dtype)
+    grad_w = np.zeros(wt.shape, dtype=dtype)
+    grad_x = np.empty((n, c, h, w), dtype=dtype)
+    for lo, hi, block in _row_blocks(x, p, per_block, dtype):
+        go_buf[:hi - lo, ..., :ow] = grad_out[:, lo:hi].transpose(1, 2, 0, 3)
+        flat, go = block.reshape(hi - lo, -1), go_buf[:hi - lo].reshape(-1, span)
+        gx, t = gx_buf[:hi - lo], tmp[:hi - lo]
+        gx.fill(0)
+        for tap, off in taps:
+            window = slice(off, off + span)
+            grad_w[lo:hi, tap] = np.einsum("ql,ql->q", flat[:, window], go)
+            np.multiply(go, wt[lo:hi, tap, None], out=t)
+            gx[:, window] += t
+        planes = gx[:, :hp * n * wp].reshape(hi - lo, hp, n, wp)
+        grad_x[:, lo:hi] = planes[:, p:p + h, :, p:p + w].transpose(2, 0, 1, 3)
+    return grad_x, grad_w
 
 
 def _rows_band(conv: Conv2dLayer, rows, cols, wp: int, ow: int, dtype) -> np.ndarray:
@@ -486,24 +489,6 @@ def _rows_band(conv: Conv2dLayer, rows, cols, wp: int, ow: int, dtype) -> np.nda
     return band.reshape(len(rows), c, wp, ow)
 
 
-def _row_blocks(x: np.ndarray, padding: int, per_block: int,
-                dtype) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, flat): channels lo:hi of x, zero-padded, as [hi - lo, hp*N, wp].
-
-    Padded row r of image b is row r*N + b, so kernel row i reads rows
-    i*d*N ... (i*d + oh)*N: one contiguous slice that holds the row-shifted
-    input of every image.  Every block is copied into the same buffer, whose
-    padding stays zero.
-    """
-    n, c, h, w = x.shape
-    p = padding
-    buf = np.zeros((per_block, h + 2 * p, n, w + 2 * p), dtype=dtype)
-    for lo in range(0, c, per_block):
-        hi = min(c, lo + per_block)
-        buf[:hi - lo, p:p + h, :, p:p + w] = x[:, lo:hi].transpose(1, 2, 0, 3)
-        yield lo, hi, buf[:hi - lo].reshape(hi - lo, -1, w + 2 * p)
-
-
 def _rows_conv(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
     """Stride-1 depthwise conv without bias: one batched matmul per live kernel row.
 
@@ -513,10 +498,11 @@ def _rows_conv(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray
     non-finite input value makes NaN of all outputs of its channel's rows,
     not only of its receptive field.
     """
-    n, c = x.shape[:2]
+    n, c, _, w = x.shape
     d = conv.dilation
     dtype = np.result_type(x, conv.weight.value)
-    rows, _, band, per_block = _rows_plan(x, conv, oh, ow, dtype)
+    rows, cols, per_block = _dw_plan(x, conv, oh, ow, dtype)
+    band = _rows_band(conv, rows, cols, w + 2 * conv.padding, ow, dtype)
     out = np.empty((n, c, oh, ow), dtype=dtype)
     acc = np.zeros((per_block, oh * n, ow), dtype=dtype)  # stays zero if no tap is live
     tmp = np.empty_like(acc)
@@ -544,7 +530,8 @@ def _rows_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray,
     k, p, d = conv.kernel_size, conv.padding, conv.dilation
     hp, wp = h + 2 * p, w + 2 * p
     dtype = np.result_type(conv.weight.value, grad_out)
-    rows, cols, band, per_block = _rows_plan(x, conv, oh, ow, dtype)
+    rows, cols, per_block = _dw_plan(x, conv, oh, ow, dtype)
+    band = _rows_band(conv, rows, cols, wp, ow, dtype)
     go_buf = np.empty((per_block, ow, oh, n), dtype=dtype)
     gx_buf = np.empty((per_block, wp, hp * n), dtype=dtype)
     tmp = np.empty((per_block, wp, oh * n), dtype=dtype)
@@ -574,18 +561,17 @@ def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
     """Optimized convolution, dispatched on the layer's geometry and input size. Zero padding.
 
     A pointwise conv (1x1, stride 1, no padding, one group) is one matmul on
-    `x` viewed as [N, C, H*W].  A stride-1 depthwise conv on a small map
-    (`_conv_kind` gives the rule) is a sum of row GEMMs: with a cache-sized
-    block of channels of `x` padded into a channel-major [C, hp*N, wp]
-    buffer, each live kernel row i adds flat[c, i*d*N:(i*d + oh)*N] @
-    band_i[c] for every channel c of the block in one batched matmul,
-    band_i[c] being the [wp, ow] banded matrix of that row's live taps.
-    Any other depthwise conv is computed directly, one cache-sized block of
-    (image, channel) planes at a time: each live tap is one multiply-add of
-    a flat slice of the zero-padded block, and taps that read only padding
-    are skipped (`_depthwise_plan`).  Every other conv
-    (dense, dilated, strided, grouped) is im2col plus a batched matmul over
-    the live taps only (`_im2col_plan`): a tap whose window lies wholly in
+    `x` viewed as [N, C, H*W].  A stride-1 depthwise conv pads a cache-sized
+    block of channels of `x` at a time into a channel-major [C, hp*N + 1, wp]
+    buffer (`_row_blocks`) and skips the taps that read only padding.  On a
+    small map (`_conv_kind` gives the rule) it is a sum of row GEMMs: each
+    live kernel row i adds flat[c, i*d*N:(i*d + oh)*N] @ band_i[c] for every
+    channel c of the block in one batched matmul, band_i[c] being the
+    [wp, ow] banded matrix of that row's live taps.  Otherwise it is direct:
+    each live tap (i, j) adds w[c, i, j] times the flat slice of oh*N*wp
+    elements at (i*N*wp + j)*d.  Every other conv (dense, dilated, strided,
+    grouped, strided depthwise) is im2col plus a batched matmul over the
+    live taps only (`_im2col_plan`): a tap whose window lies wholly in
     padding is neither gathered nor multiplied, exactly as `conv2d_naive`
     skips it; when every tap is live the live-tap weight is the weight itself.
     """
@@ -652,10 +638,10 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     and grad_w one contraction over (image, pixel).  Row GEMMs reuse the
     forward's row slices: grad_x scatter-adds grad_out @ band_i^T onto row
     slice i, and grad_w[c, i, j] is the j*d diagonal sum of
-    grad_out^T @ flat_i.  Direct depthwise runs over the forward's plane
-    blocks and tap slices: grad_w[c, tap] sums the tap's
-    input slice times grad_out (zero in the cropped columns), and grad_x
-    adds grad_out * w[c, tap] into a zero-padded block once per live tap.
+    grad_out^T @ flat_i.  Direct depthwise runs over the same blocks and the
+    forward's tap slices: grad_w[c, tap] sums the tap's input slice times
+    grad_out (zero in the cropped columns), and grad_x adds
+    grad_out * w[c, tap] into a zero-padded block once per live tap.
     Otherwise the live-tap im2col column gives grad_w on the live taps
     (exactly 0 on the others), and col2im scatter-adds W_live^T @ grad_out
     straight onto the in-bounds input pixels.

@@ -45,8 +45,9 @@ POINTWISE = dict(k=1, d=1, s=1, p=0, c=3, c_out=2, depthwise=False, bias=True,
                  extra_h=1, extra_w=2, seed=1)
 DEPTHWISE = dict(k=3, d=1, s=1, p=1, c=3, c_out=3, depthwise=True, bias=False,
                  extra_h=2, extra_w=1, seed=2)
-# Depthwise draws the direct kernel owns: a 7x7 pad-3 conv on a 1x2 input,
-# where all but 3 of the 49 taps read only padding, and a strided dilated conv.
+# A depthwise draw the direct kernel owns: a 7x7 pad-3 conv on a 1x2 input,
+# where all but 3 of the 49 taps read only padding.  A strided dilated
+# depthwise draw, which the grouped im2col owns.
 DEAD_TAPS = dict(k=7, d=1, s=1, p=3, c=3, c_out=3, depthwise=True, bias=True,
                  extra_h=0, extra_w=1, seed=3)
 STRIDED_DILATED = dict(k=3, d=2, s=2, p=2, c=3, c_out=3, depthwise=True, bias=True,
@@ -238,20 +239,21 @@ class TestConvOracle:
 
 
 def wide_depthwise(n, dtype):
-    """A 3x3 pad-1 depthwise conv on 2x2 maps whose n*c planes fill two blocks
-    of `ops._DW_BLOCK_BYTES` and part of a third, with the block edges falling
-    inside an image's channels."""
-    plane_bytes = (2 + 2 + 1) * (2 + 2) * np.dtype(dtype).itemsize  # [h + 2p + s, w + 2p]
-    per_block = ops._DW_BLOCK_BYTES // plane_bytes
-    c = 5 * per_block // (2 * n) + 1
+    """A 3x3 pad-1 depthwise conv on 2x2 maps whose c channels fill two blocks
+    of `ops._DW_BLOCK_BYTES` and part of a third, so the block edges fall
+    inside the channel range and the last block is a remainder."""
+    channel_bytes = ((2 + 2) * n + 1) * (2 + 2) * np.dtype(dtype).itemsize  # [hp*N + 1, wp]
+    per_block = ops._DW_BLOCK_BYTES // channel_bytes
+    c = 5 * per_block // 2 + 1
     rng = Rng(n)
     conv = make_conv(c, c, 3, padding=1, groups=c, rng=rng, dtype=dtype)
     conv.bias.value[:] = rng.normal((c,), dtype=dtype)
     x = rng.normal((n, c, 2, 2), dtype=dtype)
-    # the premise: the kernel really splits the planes this way
-    _, _, planes, taps = ops._depthwise_plan(x, conv, 2, 2)
-    assert planes == per_block and len(taps) == 9
-    assert n * c // per_block == 2 and n * c % per_block and per_block % c
+    # the premise: the direct kernel really splits the channels this way
+    assert ops._conv_kind(conv, x.shape) == "depthwise"
+    rows, cols, channels = ops._dw_plan(x, conv, 2, 2, dtype)
+    assert channels == per_block and len(rows) * len(cols) == 9
+    assert c // per_block == 2 and c % per_block
     return conv, x
 
 
@@ -336,7 +338,7 @@ class TestRowsKernel:
         # the premise of the (8, 48, 14, 7) geometry above
         conv = make_conv(48, 48, 7, padding=3, groups=48, dtype=dtype)
         x = np.zeros((8, 48, 14, 14), dtype=dtype)
-        per_block = ops._rows_plan(x, conv, 14, 14, dtype)[3]
+        per_block = ops._dw_plan(x, conv, 14, 14, dtype)[2]
         assert -(-48 // per_block) == blocks and 48 % per_block
 
     @pytest.mark.parametrize("n, h, w, n_dead", [
@@ -415,7 +417,7 @@ class TestConvDispatch:
         (8, 32, 1, {}, "pointwise"),
         (8, 8, 1, dict(groups=8), "depthwise"),
         (8, 8, 7, dict(padding=3, groups=8), "depthwise"),
-        (8, 8, 3, dict(stride=2, padding=1, groups=8), "depthwise"),
+        (8, 8, 3, dict(stride=2, padding=1, groups=8), "im2col"),
         (8, 8, 1, dict(stride=2), "im2col"),
         (8, 8, 1, dict(padding=1), "im2col"),
         (8, 8, 3, dict(padding=2, dilation=2), "im2col"),
@@ -449,7 +451,7 @@ class TestConvDispatch:
         (2, 8, 3, dict(padding=1), "depthwise"),                  # k * N * oh = 48 < 49
         (1, 7, 3, dict(padding=1), "depthwise"),                  # ti stage-4 IRB at b1
         (1, 1, 7, dict(padding=3), "depthwise"),                  # one tap row of one pixel
-        (8, 7, 7, dict(stride=2, padding=3), "depthwise"),
+        (8, 7, 7, dict(stride=2, padding=3), "im2col"),
         (8, 7, 1, {}, "depthwise"),
     ])
     def test_small_map_kind(self, n, size, k, kw, kind):
@@ -459,7 +461,7 @@ class TestConvDispatch:
 
     @pytest.mark.parametrize("n, space, kind", [
         (2, POINTWISE, "pointwise"), (2, DEPTHWISE, "depthwise"), (2, DEAD_TAPS, "depthwise"),
-        (2, STRIDED_DILATED, "depthwise"), (2, DENSE_DEAD_TAPS, "im2col"),
+        (2, STRIDED_DILATED, "im2col"), (2, DENSE_DEAD_TAPS, "im2col"),
         (2, NO_LIVE_TAP, "im2col"), (2, ROWS, "rows"), (3, ROWS, "rows"),
         (2, ROWS_DILATED, "rows"), (3, ROWS_DILATED, "rows"),
     ])
