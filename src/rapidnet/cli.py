@@ -177,16 +177,20 @@ def _verify_gradients() -> List[tuple]:
     def rel_err(ana, num):
         return float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1e-8))
 
-    # batch 2, so the depthwise kernel's plane blocks span two images.  The
+    # batch 2, so the depthwise kernel's tiled rows span two images.  The
     # 7x7 pad-3 depthwise conv on a 2x2 map is micro's stage-3 geometry: 40
     # of its 49 taps read only padding and are skipped.  On a 7x7 map it is
-    # ti's stage-4 geometry, which the row-GEMM kernel takes.  The dense 3x3
-    # dilation-2 conv on a 2x2 map is micro's MLDC branch: 8 of 9 taps skipped.
-    for geometry, k, pad, dil, size, groups in (("dilated depthwise", 3, 3, 3, 6, 2),
-                                                ("7x7 depthwise on 2x2", 7, 3, 1, 2, 2),
-                                                ("7x7 depthwise on 7x7", 7, 3, 1, 7, 2),
-                                                ("dilated dense on 2x2", 3, 2, 2, 2, 1)):
-        x = rng.normal((2, 2, size, size), dtype=np.float64)
+    # ti's stage-4 geometry.  The 3x3 depthwise conv on a 6x20 map takes two
+    # width tiles of 10 columns, in the forward and in the input gradient.
+    # The dense 3x3 dilation-2 conv on a 2x2 map is micro's MLDC branch: 8 of
+    # 9 taps skipped.
+    for geometry, k, pad, dil, (h, w), groups in (
+            ("dilated depthwise", 3, 3, 3, (6, 6), 2),
+            ("7x7 depthwise on 2x2", 7, 3, 1, (2, 2), 2),
+            ("7x7 depthwise on 7x7", 7, 3, 1, (7, 7), 2),
+            ("3x3 depthwise on 6x20", 3, 1, 1, (6, 20), 2),
+            ("dilated dense on 2x2", 3, 2, 2, (2, 2), 1)):
+        x = rng.normal((2, 2, h, w), dtype=np.float64)
         conv = Conv2dLayer.create(2, 2, k, padding=pad, dilation=dil, groups=groups,
                                   bias=True, rng=rng, dtype=np.float64)
         gy = rng.normal(conv2d(x, conv).shape, dtype=np.float64)

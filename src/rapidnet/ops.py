@@ -2,24 +2,24 @@
 groups), batch normalization, GeLU, pooling, linear layers, and softmax
 cross-entropy.
 
-`conv2d` and `conv2d_backward` pick a kernel from the layer's geometry and
-the input's size (`_conv_kind`): pointwise (1x1, stride 1, no padding, one
-group) convs are plain matmuls on [N, C, H*W].  Both stride-1 depthwise
-kernels pad one cache-sized block of channels at a time into the same
-channel-major [C, hp*N + 1, wp] layout (`_row_blocks`), in which a live
-kernel row's shifted input is one contiguous row slice and a live tap's is
-one flat slice; taps that read only padding are skipped.  On small maps
-(padded width at most 6k, and k*N*oh >= 49) each live kernel row adds one
-batched matmul with a banded [wp, ow] weight per channel ("rows"); on other
-maps each live tap adds one multiply of its slice by the tap's weight
-("depthwise").  Every other conv, strided depthwise ones included, lowers
-to im2col plus a batched matrix multiply.  The im2col column holds only the
-live taps (those whose window reads at least one input pixel), each copied
-from its in-bounds output rectangle of the unpadded input with its border
-strips zeroed, and it is multiplied by the matching weight sub-block.
-`conv2d_naive` is an explicit-loop reference used as the oracle for all
-four in tests.  Backward functions recompute what they need from (input,
-layer, grad_out); there is no autograd graph.
+`conv2d` and `conv2d_backward` pick one of three kernels from the layer's
+geometry (`_conv_kind`).  Pointwise (1x1, stride 1, no padding, one group)
+convs are plain matmuls on [N, C, H*W].  Stride-1 depthwise convs are row
+GEMMs over width tiles: the output columns are split into tiles whose padded
+width is at most 6k, one cache-sized block of channels at a time is padded
+and tiled into a channel-major [C, hp*N*nt, tp] layout (`_row_blocks`), in
+which a live kernel row's shifted input is one contiguous row slice, and
+each live kernel row adds one batched matmul with a banded [tp, T] weight
+per channel; kernel rows and columns that read only padding are skipped.
+Its input gradient is the same kernel run over grad_out with the kernel
+rotated by 180 degrees.  Every other conv, strided depthwise ones included,
+lowers to im2col plus a batched matrix multiply.  The im2col column holds
+only the live taps (those whose window reads at least one input pixel),
+each copied from its in-bounds output rectangle of the unpadded input with
+its border strips zeroed, and it is multiplied by the matching weight
+sub-block.  `conv2d_naive` is an explicit-loop reference used as the oracle
+for all three in tests.  Backward functions recompute what they need from
+(input, layer, grad_out); there is no autograd graph.
 
 Train-mode batch norm takes its statistics once per call from the centred
 input d = x - mean, and its backward is the closed form
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf
@@ -56,9 +56,9 @@ _ERF_F32_DEN = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.682826
 # Elements per block of the f32 erf: a block's three f32 buffers stay in L2,
 # so the ~20 in-place passes do not stream the whole tensor from memory.
 _ERF_F32_BLOCK = 1 << 16
-# Bytes of zero-padded input per block of the direct depthwise conv and of
-# the row GEMMs; the block's accumulator and tap or row product are about as
-# large, so the per-tap or per-row passes stay in L2 as well.
+# Bytes of padded, width-tiled input per block of the depthwise row GEMMs;
+# the block's accumulator and row product are about as large, so the per-row
+# passes stay in L2 as well.
 _DW_BLOCK_BYTES = 1 << 18
 
 
@@ -261,32 +261,18 @@ def _check_conv_input(x: np.ndarray, conv: Conv2dLayer) -> None:
         raise ShapeError(f"input has {x.shape[1]} channels, layer expects {conv.in_channels}")
 
 
-def _conv_kind(conv: Conv2dLayer, shape: Tuple[int, ...]) -> str:
-    """Which kernel `conv2d`/`conv2d_backward` run on an input of `shape` [N, C, H, W]:
-    "pointwise", "rows", "depthwise" or "im2col".
+def _conv_kind(conv: Conv2dLayer) -> str:
+    """Which kernel `conv2d`/`conv2d_backward` run: "pointwise", "depthwise" or "im2col".
 
-    A stride-1 depthwise conv with k > 1 takes the row GEMMs ("rows") when
-    both hold: the padded width wp = W + 2p is at most 6k, since a row GEMM
-    does wp/k times the MACs of the direct kernel; and k * N * oh >= 49,
-    since one channel's GEMM for one kernel row replaces k tap passes over
-    N * oh output rows, and below that the per-GEMM call overhead loses
-    (3x3 at batch 1, in the backward).  So every 7x7 layer of `ti` and
-    `micro` takes it, as do `ti`'s 14x14 and 7x7 3x3 layers at batch 8 and
-    `micro`'s 3x3 layers at batch 32; 28x28 3x3 maps (wp/k = 10), 56x56 7x7
-    maps (wp/k = 8.9) and `ti`'s 3x3 layers at batch 1 stay on the direct
-    kernel ("depthwise").  Both run on the same padded blocks (`_dw_plan`,
-    `_row_blocks`).  A strided depthwise conv takes the grouped im2col: in
-    the shared layout a stride-s tap is one slice only when N == 1, and no
+    Every stride-1 depthwise conv takes the width-tiled row GEMMs
+    ("depthwise", `_dw_conv`); the map size only sets its tile plan
+    (`_dw_plan`).  A strided depthwise conv takes the grouped im2col: in the
+    tiled layout a stride-s kernel row is one slice only when N == 1, and no
     RapidNet layer is one.
     """
     if conv.kernel_size == 1 and conv.stride == 1 and conv.padding == 0 and conv.groups == 1:
         return "pointwise"
     if conv.stride == 1 and 1 < conv.groups == conv.in_channels == conv.out_channels:
-        n, _, h, w = shape
-        k, p = conv.kernel_size, conv.padding
-        oh = h + 2 * p - effective_kernel(k, conv.dilation) + 1
-        if k > 1 and w + 2 * p <= 6 * k and k * n * oh >= 49:
-            return "rows"
         return "depthwise"
     return "im2col"
 
@@ -375,218 +361,189 @@ def _col2im(gcol: np.ndarray, shape: Tuple[int, ...], stride: int, rows, cols) -
     return img
 
 
-def _dw_plan(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int, dtype):
-    """(live row spans, live column spans, channels per `_row_blocks` block) of both
-    stride-1 depthwise kernels."""
-    n, c, h, w = x.shape
-    k, p, d = conv.kernel_size, conv.padding, conv.dilation
-    hp, wp = h + 2 * p, w + 2 * p
-    rows, cols = _tap_spans(k, d, 1, p, h, oh), _tap_spans(k, d, 1, p, w, ow)
-    per_block = max(1, min(c, _DW_BLOCK_BYTES // ((hp * n + 1) * wp * np.dtype(dtype).itemsize)))
-    return rows, cols, per_block
+class _DwPlan(NamedTuple):
+    """Live kernel rows and columns (`_tap_spans`), width tiles and channel
+    blocks of one stride-1 depthwise conv."""
+
+    rows: List[Tuple[int, int, int, int]]
+    cols: List[Tuple[int, int, int, int]]
+    nt: int  # width tiles
+    tile: int  # output columns per tile, T
+    tp: int  # padded tile width T + (k-1)*d
+    per_block: int  # channels per `_row_blocks` block
 
 
-def _row_blocks(x: np.ndarray, padding: int, per_block: int,
+def _dw_plan(shape: Tuple[int, ...], k: int, padding: int, dilation: int, dtype) -> _DwPlan:
+    """The `_DwPlan` of a stride-1 depthwise k x k conv on an input of `shape` [N, C, H, W].
+
+    A tile's row GEMM multiplies its padded width tp = T + (k-1)*d by T
+    outputs, tp/k times the MACs of the k taps it replaces, so the ow output
+    columns split into as few tiles as keep tp at most 6k (T at least 1):
+    nt = ceil(ow / T_max) tiles of T = ceil(ow / nt) columns.  A block holds
+    as many channels as fit in `_DW_BLOCK_BYTES` of tiled input (at least one).
+    """
+    n, c, h, w = shape
+    e = (k - 1) * dilation
+    oh, ow = h + 2 * padding - e, w + 2 * padding - e
+    nt = -(-ow // max(1, 6 * k - e))
+    tile = -(-ow // nt)
+    channel_bytes = (h + 2 * padding) * n * nt * (tile + e) * np.dtype(dtype).itemsize
+    return _DwPlan(_tap_spans(k, dilation, 1, padding, h, oh),
+                   _tap_spans(k, dilation, 1, padding, w, ow), nt, tile, tile + e,
+                   max(1, min(c, _DW_BLOCK_BYTES // channel_bytes)))
+
+
+def _row_blocks(x: np.ndarray, padding: int, plan: _DwPlan,
                 dtype) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, flat): channels lo:hi of x, zero-padded, as [hi - lo, hp*N + 1, wp].
+    """Yield (lo, hi, flat): channels lo:hi of x, zero-padded and cut into width
+    tiles, as [hi - lo, hp*N*nt, tp].
 
-    Padded row r of image b is row r*N + b, so kernel row i reads rows
-    i*d*N ... (i*d + oh)*N: one contiguous slice that holds the row-shifted
-    input of every image.  Flattened per channel, output (y, b, x) of tap
-    (i, j) reads element (y*N + b)*wp + x + (i*N*wp + j)*d, so one tap is
-    one slice of oh*N*wp elements; the one zero slack row keeps the last
-    such slice in bounds.  Every block is copied into the same buffer, whose
-    padding stays zero.
+    Row (r*N + b)*nt + t holds padded row r of image b over padded columns
+    t*T ... t*T + tp, tile t's own halo included, so kernel row i reads rows
+    i*d*N*nt ... (i*d + oh)*N*nt: one contiguous slice that holds the
+    row-shifted input of every image and tile.  Every block is copied into
+    the same buffer, whose padding, and the columns of a partial last tile
+    past the padded width, stay zero.
     """
     n, c, h, w = x.shape
-    p = padding
-    hp, wp = h + 2 * p, w + 2 * p
-    buf = np.zeros((per_block, hp * n + 1, wp), dtype=dtype)
-    planes = buf[:, :-1].reshape(per_block, hp, n, wp)
-    for lo in range(0, c, per_block):
-        hi = min(c, lo + per_block)
-        planes[:hi - lo, p:p + h, :, p:p + w] = x[:, lo:hi].transpose(1, 2, 0, 3)
+    p, nt, tile, tp = padding, plan.nt, plan.tile, plan.tp
+    buf = np.zeros((plan.per_block, (h + 2 * p) * n * nt, tp), dtype=dtype)
+    tiles = buf.reshape(plan.per_block, h + 2 * p, n, nt, tp)
+    copies = []  # (tile, first and last + 1 input column it holds, position of the first)
+    for t in range(nt):
+        first = t * tile - p
+        c0, c1 = max(0, first), min(w, first + tp)
+        if c0 < c1:
+            copies.append((t, c0, c1, c0 - first))
+    for lo in range(0, c, plan.per_block):
+        hi = min(c, lo + plan.per_block)
+        src = x[:, lo:hi].transpose(1, 2, 0, 3)
+        for t, c0, c1, at in copies:
+            tiles[:hi - lo, p:p + h, :, t, at:at + c1 - c0] = src[..., c0:c1]
         yield lo, hi, buf[:hi - lo]
 
 
-def _dw_taps(conv: Conv2dLayer, n: int, wp: int, rows, cols) -> List[Tuple[int, int]]:
-    """(tap, flat offset) of each live tap in the `_row_blocks` layout."""
-    k, d = conv.kernel_size, conv.dilation
-    return [(i * k + j, (i * n * wp + j) * d) for i, *_ in rows for j, *_ in cols]
-
-
-def _depthwise_conv(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
-    """Stride-1 depthwise conv without bias: one multiply-add of a flat slice per live tap.
-
-    Each tap is one pass over a cache-sized block of channels; the wp - ow
-    columns past the output are cropped.
-    """
-    n, c, _, w = x.shape
-    wp = w + 2 * conv.padding
-    span = oh * n * wp
-    wt = conv.weight.value.reshape(c, -1)
-    dtype = np.result_type(x, wt)
-    rows, cols, per_block = _dw_plan(x, conv, oh, ow, dtype)
-    taps = _dw_taps(conv, n, wp, rows, cols)
-    out = np.empty((n, c, oh, ow), dtype=dtype)
-    acc = np.zeros((per_block, span), dtype=dtype)  # stays zero if no tap is live
-    tmp = np.empty_like(acc)
-    for lo, hi, block in _row_blocks(x, conv.padding, per_block, dtype):
-        flat, a, t = block.reshape(hi - lo, -1), acc[:hi - lo], tmp[:hi - lo]
-        for pos, (tap, off) in enumerate(taps):  # tap 0 writes the accumulator, the rest add
-            np.multiply(flat[:, off:off + span], wt[lo:hi, tap, None], out=t if pos else a)
-            if pos:
-                a += t
-        out[:, lo:hi] = a.reshape(hi - lo, oh, n, wp)[..., :ow].transpose(2, 0, 1, 3)
-    return out
-
-
-def _depthwise_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray,
-                             oh: int, ow: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(grad_x, grad_w as [C, k*k]) of `_depthwise_conv`, over the same blocks and tap slices."""
-    n, c, h, w = x.shape
-    p = conv.padding
-    hp, wp = h + 2 * p, w + 2 * p
-    span = oh * n * wp
-    wt = conv.weight.value.reshape(c, -1)
-    dtype = np.result_type(wt, grad_out)
-    rows, cols, per_block = _dw_plan(x, conv, oh, ow, dtype)
-    taps = _dw_taps(conv, n, wp, rows, cols)
-    go_buf = np.zeros((per_block, oh, n, wp), dtype=dtype)  # columns past ow stay zero
-    gx_buf = np.empty((per_block, (hp * n + 1) * wp), dtype=dtype)
-    tmp = np.empty((per_block, span), dtype=dtype)
-    grad_w = np.zeros(wt.shape, dtype=dtype)
-    grad_x = np.empty((n, c, h, w), dtype=dtype)
-    for lo, hi, block in _row_blocks(x, p, per_block, dtype):
-        go_buf[:hi - lo, ..., :ow] = grad_out[:, lo:hi].transpose(1, 2, 0, 3)
-        flat, go = block.reshape(hi - lo, -1), go_buf[:hi - lo].reshape(-1, span)
-        gx, t = gx_buf[:hi - lo], tmp[:hi - lo]
-        gx.fill(0)
-        for tap, off in taps:
-            window = slice(off, off + span)
-            grad_w[lo:hi, tap] = np.einsum("ql,ql->q", flat[:, window], go)
-            np.multiply(go, wt[lo:hi, tap, None], out=t)
-            gx[:, window] += t
-        planes = gx[:, :hp * n * wp].reshape(hi - lo, hp, n, wp)
-        grad_x[:, lo:hi] = planes[:, p:p + h, :, p:p + w].transpose(2, 0, 1, 3)
-    return grad_x, grad_w
-
-
-def _rows_band(conv: Conv2dLayer, rows, cols, wp: int, ow: int, dtype) -> np.ndarray:
-    """Banded [wp, ow] weights of each live kernel row and channel: [rows, C, wp, ow].
+def _rows_band(w: np.ndarray, dilation: int, plan: _DwPlan, dtype) -> np.ndarray:
+    """Banded [tp, T] weights of each live kernel row and channel of w [C, k, k]:
+    [rows, C, tp, T].
 
     band[a, c, x + j*d, x] = w[c, i_a, j] for each live tap j of live row
-    i_a; the rest is zero.  In the flat [wp*ow] matrix the entries of tap j
-    lie at j*d*ow + x*(ow + 1), so each tap is one strided slice.  Dead taps
-    are never read.
+    i_a; the rest is zero.  In the flat [tp*T] matrix the entries of tap j
+    lie at j*d*T + x*(T + 1), so each tap is one strided slice.  Every tile
+    shares the band.  Dead taps are never read.
     """
-    c, d = conv.out_channels, conv.dilation
-    w = conv.weight.value[:, 0, _tap_index(rows)].transpose(1, 0, 2)  # [rows, C, k]
-    band = np.zeros((len(rows), c, wp * ow), dtype=dtype)
-    step = ow + 1
-    for j, *_ in cols:
-        band[:, :, j * d * ow:j * d * ow + step * ow:step] = w[:, :, j, None]
-    return band.reshape(len(rows), c, wp, ow)
+    c, d, tile, rows = w.shape[0], dilation, plan.tile, len(plan.rows)
+    w = w[:, _tap_index(plan.rows)].transpose(1, 0, 2)  # [rows, C, k]
+    band = np.zeros((rows, c, plan.tp * tile), dtype=dtype)
+    step = tile + 1
+    for j, *_ in plan.cols:
+        band[:, :, j * d * tile:j * d * tile + step * tile:step] = w[:, :, j, None]
+    return band.reshape(rows, c, plan.tp, tile)
 
 
-def _rows_conv(x: np.ndarray, conv: Conv2dLayer, oh: int, ow: int) -> np.ndarray:
-    """Stride-1 depthwise conv without bias: one batched matmul per live kernel row.
+def _dw_conv(x: np.ndarray, w: np.ndarray, padding: int, dilation: int) -> np.ndarray:
+    """Stride-1 depthwise conv without bias of x [N, C, H, W] with w [C, k, k]:
+    one batched matmul per live kernel row.
 
     For each cache-sized block of channels, out[c] = sum over live rows i of
-    flat[c, rows of i] @ band_i[c], an [N*oh, wp] @ [wp, ow] product per
-    channel.  The band's zeros multiply every input pixel of a row, so a
-    non-finite input value makes NaN of all outputs of its channel's rows,
-    not only of its receptive field.
+    flat[c, rows of i] @ band_i[c], an [oh*N*nt, tp] @ [tp, T] product per
+    channel; the columns of a partial last tile past ow are cropped.  The
+    band's zeros multiply every input pixel of a tile's row, so a non-finite
+    input value makes NaN of all outputs of its channel's tile rows, not only
+    of its receptive field.
     """
-    n, c, _, w = x.shape
-    d = conv.dilation
-    dtype = np.result_type(x, conv.weight.value)
-    rows, cols, per_block = _dw_plan(x, conv, oh, ow, dtype)
-    band = _rows_band(conv, rows, cols, w + 2 * conv.padding, ow, dtype)
+    n, c, h, wd = x.shape
+    k, p, d = w.shape[-1], padding, dilation
+    oh, ow = h + 2 * p - (k - 1) * d, wd + 2 * p - (k - 1) * d
+    dtype = np.result_type(x, w)
+    plan = _dw_plan(x.shape, k, p, d, dtype)
+    band = _rows_band(w, d, plan, dtype)
+    step = n * plan.nt  # tiled rows per padded row
     out = np.empty((n, c, oh, ow), dtype=dtype)
-    acc = np.zeros((per_block, oh * n, ow), dtype=dtype)  # stays zero if no tap is live
+    # the sum stays zero if no tap is live
+    acc = np.zeros((plan.per_block, oh * step, plan.tile), dtype=dtype)
     tmp = np.empty_like(acc)
-    for lo, hi, flat in _row_blocks(x, conv.padding, per_block, dtype):
+    for lo, hi, flat in _row_blocks(x, p, plan, dtype):
         a, t = acc[:hi - lo], tmp[:hi - lo]
-        for pos, (i, *_) in enumerate(rows):  # row 0 writes the sum, the rest add
-            np.matmul(flat[:, i * d * n:(i * d + oh) * n], band[pos, lo:hi], out=t if pos else a)
+        for pos, (i, *_) in enumerate(plan.rows):  # row 0 writes the sum, the rest add
+            np.matmul(flat[:, i * d * step:(i * d + oh) * step], band[pos, lo:hi],
+                      out=t if pos else a)
             if pos:
                 a += t
-        out[:, lo:hi] = a.reshape(hi - lo, oh, n, ow).transpose(2, 0, 1, 3)
+        out[:, lo:hi] = a.reshape(hi - lo, oh, n, -1)[..., :ow].transpose(2, 0, 1, 3)
     return out
 
 
-def _rows_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray,
-                        oh: int, ow: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(grad_x, grad_w as [C, k, k]) of `_rows_conv`, over the same blocks and row slices.
+def _dw_conv_backward(x: np.ndarray, conv: Conv2dLayer,
+                      grad_out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(grad_x, grad_w as [C, k, k]) of `_dw_conv` with the layer's weight.
 
-    With grad_out transposed to go_t = [C, ow, N*oh], grad_x is built
-    transposed as well: row slice i of a zero [C, wp, hp*N] buffer gains
-    band_i @ go_t, and grad_w[c, i, j] is the j*d diagonal sum of
-    go_t @ flat_i.  Every matmul takes contiguous operands: a transposed view
+    grad_x is `_dw_conv` itself, run over grad_out with the kernel rotated by
+    180 degrees and padding e - p, e = (k-1)*d (Dumoulin & Visin, "A guide
+    to convolution arithmetic for deep learning", arXiv 1603.07285).  When
+    p > e, the outer p - e rows and columns of grad_out belong to outputs
+    that read only padding, so they are cropped and the padding is 0.
+    grad_w[c, i, j] is the j*d diagonal sum of go_t @ flat_i over the
+    forward's tiled blocks, go_t being grad_out per tile as [C, T, oh*N*nt]
+    (zero past ow).  Both matmul operands are contiguous: a transposed view
     runs 2-4x slower in numpy's batched matmul at these sizes.
     """
-    n, c, h, w = x.shape
+    n, c, _, _ = x.shape
     k, p, d = conv.kernel_size, conv.padding, conv.dilation
-    hp, wp = h + 2 * p, w + 2 * p
-    dtype = np.result_type(conv.weight.value, grad_out)
-    rows, cols, per_block = _dw_plan(x, conv, oh, ow, dtype)
-    band = _rows_band(conv, rows, cols, wp, ow, dtype)
-    go_buf = np.empty((per_block, ow, oh, n), dtype=dtype)
-    gx_buf = np.empty((per_block, wp, hp * n), dtype=dtype)
-    tmp = np.empty((per_block, wp, oh * n), dtype=dtype)
-    prod = np.empty((per_block, ow, wp), dtype=dtype)
-    grad_x = np.empty((n, c, h, w), dtype=dtype)
+    e = (k - 1) * d
+    _, _, oh, ow = grad_out.shape
+    w = conv.weight.value[:, 0]
+    dtype = np.result_type(w, grad_out)
+    plan = _dw_plan(x.shape, k, p, d, dtype)
+    nt, tile = plan.nt, plan.tile
+    step = n * nt
+    go_buf = np.zeros((plan.per_block, tile, oh, n, nt), dtype=dtype)  # columns past ow stay zero
+    prod = np.empty((plan.per_block, tile, plan.tp), dtype=dtype)
     grad_w = np.zeros((c, k, k), dtype=dtype)
-    xs = np.arange(ow)
-    diag = np.array([j for j, *_ in cols], dtype=np.intp)[:, None] * d + xs  # [live cols, ow]
-    live_cols = _tap_index(cols)
-    for lo, hi, flat in _row_blocks(x, p, per_block, dtype):
-        go_t = go_buf[:hi - lo]
-        go_t[...] = grad_out[:, lo:hi].transpose(1, 3, 2, 0)
-        go_t = go_t.reshape(hi - lo, ow, oh * n)
-        gx, t, pr = gx_buf[:hi - lo], tmp[:hi - lo], prod[:hi - lo]
-        gx.fill(0)
-        for pos, (i, *_) in enumerate(rows):
-            window = slice(i * d * n, (i * d + oh) * n)
-            np.matmul(band[pos, lo:hi], go_t, out=t)
-            gx[:, :, window] += t
-            np.matmul(go_t, flat[:, window], out=pr)
+    xs = np.arange(tile)
+    diag = np.array([j for j, *_ in plan.cols], dtype=np.intp)[:, None] * d + xs  # [live cols, T]
+    live_cols = _tap_index(plan.cols)
+    for lo, hi, flat in _row_blocks(x, p, plan, dtype):
+        go = go_buf[:hi - lo]
+        for t in range(nt):
+            x0, x1 = t * tile, min(ow, (t + 1) * tile)
+            go[:, :x1 - x0, :, :, t] = grad_out[:, lo:hi, :, x0:x1].transpose(1, 3, 2, 0)
+        go_t, pr = go.reshape(hi - lo, tile, oh * step), prod[:hi - lo]
+        for i, *_ in plan.rows:
+            np.matmul(go_t, flat[:, i * d * step:(i * d + oh) * step], out=pr)
             grad_w[lo:hi, i, live_cols] = pr[:, xs, diag].sum(axis=-1)
-        grad_x[:, lo:hi] = gx.reshape(hi - lo, wp, hp, n)[:, p:p + w, p:p + h].transpose(3, 0, 2, 1)
+    crop = max(0, p - e)
+    grad_x = _dw_conv(grad_out[:, :, crop:oh - crop, crop:ow - crop], w[:, ::-1, ::-1],
+                      max(0, e - p), d)
     return grad_x, grad_w
 
 
 def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
-    """Optimized convolution, dispatched on the layer's geometry and input size. Zero padding.
+    """Optimized convolution, dispatched on the layer's geometry (`_conv_kind`). Zero padding.
 
     A pointwise conv (1x1, stride 1, no padding, one group) is one matmul on
-    `x` viewed as [N, C, H*W].  A stride-1 depthwise conv pads a cache-sized
-    block of channels of `x` at a time into a channel-major [C, hp*N + 1, wp]
-    buffer (`_row_blocks`) and skips the taps that read only padding.  On a
-    small map (`_conv_kind` gives the rule) it is a sum of row GEMMs: each
-    live kernel row i adds flat[c, i*d*N:(i*d + oh)*N] @ band_i[c] for every
-    channel c of the block in one batched matmul, band_i[c] being the
-    [wp, ow] banded matrix of that row's live taps.  Otherwise it is direct:
-    each live tap (i, j) adds w[c, i, j] times the flat slice of oh*N*wp
-    elements at (i*N*wp + j)*d.  Every other conv (dense, dilated, strided,
-    grouped, strided depthwise) is im2col plus a batched matmul over the
-    live taps only (`_im2col_plan`): a tap whose window lies wholly in
-    padding is neither gathered nor multiplied, exactly as `conv2d_naive`
-    skips it; when every tap is live the live-tap weight is the weight itself.
+    `x` viewed as [N, C, H*W].  A stride-1 depthwise conv is a sum of row
+    GEMMs over width tiles (`_dw_conv`): a cache-sized block of channels of
+    `x` at a time is padded and tiled into a channel-major [C, hp*N*nt, tp]
+    buffer (`_row_blocks`), and each live kernel row i adds
+    flat[c, i*d*N*nt:(i*d + oh)*N*nt] @ band_i[c] for every channel c of the
+    block in one batched matmul, band_i[c] being the [tp, T] banded matrix
+    of that row's live taps, shared by every tile.  Every other conv (dense,
+    dilated, strided, grouped, strided depthwise) is im2col plus a batched
+    matmul over the live taps only (`_im2col_plan`).  Both skip a tap whose
+    window lies wholly in padding, exactly as `conv2d_naive` does; when
+    every tap is live the live-tap weight is the weight itself.
     """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
     oh, ow = out_shape(h, w, conv)
     g, o = conv.groups, conv.out_channels
     wv = conv.weight.value
-    kind = _conv_kind(conv, x.shape)
+    kind = _conv_kind(conv)
     if kind == "pointwise":
         out = np.matmul(wv.reshape(o, c), x.reshape(n, c, h * w))
-    elif kind == "rows":
-        out = _rows_conv(x, conv, oh, ow)
     elif kind == "depthwise":
-        out = _depthwise_conv(x, conv, oh, ow)
+        out = _dw_conv(x, wv[:, 0], conv.padding, conv.dilation)
     else:
         rows, cols, live_w = _im2col_plan(x, conv, oh, ow)
         kk = c // g * len(rows) * len(cols)
@@ -635,16 +592,14 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     """Gradients of sum(grad_out * conv2d(x)) w.r.t. input, weight, and bias.
 
     Dispatched like `conv2d`.  Pointwise: grad_x = W^T @ grad_out per image
-    and grad_w one contraction over (image, pixel).  Row GEMMs reuse the
-    forward's row slices: grad_x scatter-adds grad_out @ band_i^T onto row
-    slice i, and grad_w[c, i, j] is the j*d diagonal sum of
-    grad_out^T @ flat_i.  Direct depthwise runs over the same blocks and the
-    forward's tap slices: grad_w[c, tap] sums the tap's input slice times
-    grad_out (zero in the cropped columns), and grad_x adds
-    grad_out * w[c, tap] into a zero-padded block once per live tap.
-    Otherwise the live-tap im2col column gives grad_w on the live taps
-    (exactly 0 on the others), and col2im scatter-adds W_live^T @ grad_out
-    straight onto the in-bounds input pixels.
+    and grad_w one contraction over (image, pixel).  Depthwise: grad_x is the
+    forward's kernel run over grad_out with the kernel rotated by 180
+    degrees, and grad_w[c, i, j] is the j*d diagonal sum of
+    grad_out^T @ flat_i over the forward's tiled row slices
+    (`_dw_conv_backward`).  Otherwise the live-tap im2col column gives
+    grad_w on the live taps (exactly 0 on the others), and col2im
+    scatter-adds W_live^T @ grad_out straight onto the in-bounds input
+    pixels.
     """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
@@ -654,15 +609,13 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
             f"grad_out shape {grad_out.shape} != {(n, conv.out_channels, oh, ow)}")
     g, o = conv.groups, conv.out_channels
     wv = conv.weight.value
-    kind = _conv_kind(conv, x.shape)
+    kind = _conv_kind(conv)
     if kind == "pointwise":
         go = grad_out.reshape(n, o, h * w)
         grad_w = _channel_major(go) @ _channel_major(x).T
         grad_x = np.matmul(wv.reshape(o, c).T, go).reshape(x.shape)
-    elif kind == "rows":
-        grad_x, grad_w = _rows_conv_backward(x, conv, grad_out, oh, ow)
     elif kind == "depthwise":
-        grad_x, grad_w = _depthwise_conv_backward(x, conv, grad_out, oh, ow)
+        grad_x, grad_w = _dw_conv_backward(x, conv, grad_out)
     else:
         rows, cols, live_w = _im2col_plan(x, conv, oh, ow)
         ki, kj = len(rows), len(cols)

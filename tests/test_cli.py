@@ -127,12 +127,14 @@ class TestVerify:
         assert data["passed"] is True
         assert all(c["pass"] for c in data["checks"])
         # the f64 finite-difference rows for the live-tap im2col, the row-GEMM
-        # depthwise kernel and closed-form BN
+        # depthwise kernel on one width tile and on two, and closed-form BN
         labels = {c["label"] for c in data["checks"]}
         for row in ("grad conv2d input (dilated dense on 2x2, batch 2)",
                     "grad conv2d weight (dilated dense on 2x2, batch 2)",
                     "grad conv2d input (7x7 depthwise on 7x7, batch 2)",
                     "grad conv2d weight (7x7 depthwise on 7x7, batch 2)",
+                    "grad conv2d input (3x3 depthwise on 6x20, batch 2)",
+                    "grad conv2d weight (3x3 depthwise on 6x20, batch 2)",
                     "grad batchnorm input/gamma/beta (train, batch 2)"):
             assert f"{row}: rel err" in labels
 

@@ -45,9 +45,9 @@ POINTWISE = dict(k=1, d=1, s=1, p=0, c=3, c_out=2, depthwise=False, bias=True,
                  extra_h=1, extra_w=2, seed=1)
 DEPTHWISE = dict(k=3, d=1, s=1, p=1, c=3, c_out=3, depthwise=True, bias=False,
                  extra_h=2, extra_w=1, seed=2)
-# A depthwise draw the direct kernel owns: a 7x7 pad-3 conv on a 1x2 input,
-# where all but 3 of the 49 taps read only padding.  A strided dilated
-# depthwise draw, which the grouped im2col owns.
+# A depthwise draw where all but 3 of the 49 taps read only padding: a 7x7
+# pad-3 conv on a 1x2 input.  A strided dilated depthwise draw, which the
+# grouped im2col owns.
 DEAD_TAPS = dict(k=7, d=1, s=1, p=3, c=3, c_out=3, depthwise=True, bias=True,
                  extra_h=0, extra_w=1, seed=3)
 STRIDED_DILATED = dict(k=3, d=2, s=2, p=2, c=3, c_out=3, depthwise=True, bias=True,
@@ -59,13 +59,24 @@ DENSE_DEAD_TAPS = dict(k=3, d=2, s=1, p=2, c=3, c_out=2, depthwise=False, bias=T
                        extra_h=1, extra_w=1, seed=5)
 NO_LIVE_TAP = dict(k=1, d=1, s=2, p=1, c=3, c_out=2, depthwise=False, bias=True,
                    extra_h=0, extra_w=0, seed=6)
-# Depthwise draws the row-GEMM kernel owns at batch 2 and 3: a 7x7 pad-3
-# conv on a 4x3 map, and the same at dilation 2 on a 10x8 map, where 24 of
-# the 49 taps read only padding.
+# Depthwise draws with several live rows of a 7x7 kernel: a pad-3 conv on a
+# 4x3 map, and the same at dilation 2 on a 10x8 map, where 24 of the 49 taps
+# read only padding.
 ROWS = dict(k=7, d=1, s=1, p=3, c=3, c_out=3, depthwise=True, bias=True,
             extra_h=3, extra_w=2, seed=7)
 ROWS_DILATED = dict(k=7, d=2, s=1, p=3, c=3, c_out=3, depthwise=True, bias=False,
                     extra_h=3, extra_w=1, seed=8)
+# Depthwise draws wider than one width tile (CONV_SPACE's widths never are):
+# a 3x3 pad-1 conv on a 38-wide map (3 tiles of 13 columns, the last one
+# partial); the same at dilation 2 and pad 2 on a 31-wide map (3 tiles of
+# 11); and a 3x3 pad-3 conv on a 21-wide map, whose padding exceeds the
+# kernel's extent e = 2, so its input gradient crops grad_out.
+MULTI_TILE = dict(k=3, d=1, s=1, p=1, c=3, c_out=3, depthwise=True, bias=True,
+                  extra_h=2, extra_w=37, seed=9)
+MULTI_TILE_DILATED = dict(k=3, d=2, s=1, p=2, c=3, c_out=3, depthwise=True, bias=False,
+                          extra_h=1, extra_w=30, seed=10)
+GRAD_OUT_CROP = dict(k=3, d=1, s=1, p=3, c=3, c_out=3, depthwise=True, bias=True,
+                     extra_h=1, extra_w=20, seed=11)
 
 
 def drawn_conv(n, k, d, s, p, c, c_out, depthwise, bias, extra_h, extra_w, seed):
@@ -218,6 +229,9 @@ class TestConvOracle:
     @example(n=2, **NO_LIVE_TAP)
     @example(n=2, **ROWS)
     @example(n=2, **ROWS_DILATED)
+    @example(n=2, **MULTI_TILE)
+    @example(n=2, **MULTI_TILE_DILATED)
+    @example(n=2, **GRAD_OUT_CROP)
     def test_property_matches_naive(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert x.dtype == conv.weight.value.dtype == np.float64
@@ -233,6 +247,9 @@ class TestConvOracle:
     @example(n=3, **NO_LIVE_TAP)
     @example(n=3, **ROWS)
     @example(n=3, **ROWS_DILATED)
+    @example(n=3, **MULTI_TILE)
+    @example(n=3, **MULTI_TILE_DILATED)
+    @example(n=3, **GRAD_OUT_CROP)
     def test_property_backward_adjoint(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert_adjoint(conv, x, space["seed"] + 1)
@@ -242,17 +259,17 @@ def wide_depthwise(n, dtype):
     """A 3x3 pad-1 depthwise conv on 2x2 maps whose c channels fill two blocks
     of `ops._DW_BLOCK_BYTES` and part of a third, so the block edges fall
     inside the channel range and the last block is a remainder."""
-    channel_bytes = ((2 + 2) * n + 1) * (2 + 2) * np.dtype(dtype).itemsize  # [hp*N + 1, wp]
+    channel_bytes = (2 + 2) * n * (2 + 2) * np.dtype(dtype).itemsize  # one tile: [hp*N, tp]
     per_block = ops._DW_BLOCK_BYTES // channel_bytes
     c = 5 * per_block // 2 + 1
     rng = Rng(n)
     conv = make_conv(c, c, 3, padding=1, groups=c, rng=rng, dtype=dtype)
     conv.bias.value[:] = rng.normal((c,), dtype=dtype)
     x = rng.normal((n, c, 2, 2), dtype=dtype)
-    # the premise: the direct kernel really splits the channels this way
-    assert ops._conv_kind(conv, x.shape) == "depthwise"
-    rows, cols, channels = ops._dw_plan(x, conv, 2, 2, dtype)
-    assert channels == per_block and len(rows) * len(cols) == 9
+    # the premise: the depthwise kernel really splits the channels this way
+    assert ops._conv_kind(conv) == "depthwise"
+    plan = ops._dw_plan(x.shape, 3, 1, 1, dtype)
+    assert plan.nt == 1 and plan.per_block == per_block and len(plan.rows) * len(plan.cols) == 9
     assert c // per_block == 2 and c % per_block
     return conv, x
 
@@ -289,30 +306,51 @@ class TestDepthwiseKernel:
         (2, 1, 1, 3, dict(padding=3, dilation=3), 8),             # dilation 3 on a 1x1 map
         (2, 1, 3, 3, dict(stride=2, padding=2, dilation=2), 6),
         (1, 1, 1, 2, dict(padding=3, dilation=5), 4),             # every tap dead
+        (2, 1, 45, 7, dict(padding=3), 42),                       # two tiles of 23, one partial
     ])
     def test_dead_tap_weights_never_read(self, n, h, w, k, kw, n_dead):
         assert_dead_taps_never_read(n, h, w, k, kw, n_dead, c_in=3, c_out=3, groups=3)
 
 
+def shift_add_depthwise(x, conv, gy):
+    """(output, grad_x, grad_w) of a stride-1 depthwise conv without bias, in f64.
+
+    Direct and vectorized: each tap (i, j) is one slice of a zero-padded copy
+    of x, which gives the output and grad_w, and grad_x scatter-adds
+    gy * w[c, i, j] back onto that slice of a zero-padded gradient.
+    """
+    k, p, d = conv.kernel_size, conv.padding, conv.dilation
+    w = conv.weight.value[:, 0].astype(np.float64)
+    x, gy = x.astype(np.float64), gy.astype(np.float64)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    _, _, oh, ow = gy.shape
+    out, grad_xp, grad_w = np.zeros(gy.shape), np.zeros(xp.shape), np.zeros(w.shape)
+    for i in range(k):
+        for j in range(k):
+            tap = (slice(None), slice(None), slice(i * d, i * d + oh), slice(j * d, j * d + ow))
+            wij = w[None, :, i, j, None, None]
+            out += xp[tap] * wij
+            grad_w[:, i, j] = np.einsum("nchw,nchw->c", xp[tap], gy)
+            grad_xp[tap] += gy * wij
+    h, wd = x.shape[2:]
+    return out, grad_xp[:, :, p:p + h, p:p + wd], grad_w[:, None]
+
+
 class TestRowsKernel:
-    """The row-GEMM kernel against the direct depthwise kernel it replaces.
+    """The row-GEMM kernel against a direct shift-add reference (`shift_add_depthwise`).
 
     Tolerances, relative to the largest reference magnitude (`rel_err`): in
-    f64 the output, grad_x and grad_w match the direct kernel to 1e-10; in
-    f32 each is within 1e-5 of the direct kernel run in f64 on the same
-    values.  The geometries are ti's and micro's 7x7 layers and ti's b8
-    3x3 layers at fewer channels, plus a dilation-2 7x7.
+    f64 the output, grad_x and grad_w match the reference to 1e-10; in f32
+    each is within 1e-5 of the reference run in f64 on the same values.  The
+    geometries are ti's and micro's 7x7 layers and ti's b8 3x3 layers at
+    fewer channels, plus a dilation-2 7x7, and ti's 56x56 3x3 (four width
+    tiles) and a 7x7 on a 56x56 map (two).
     """
 
     # (8, 48, 14, 7) spans three channel blocks in f32 and five in f64
     GEOMETRIES = [(8, 48, 14, 7, 1), (2, 16, 7, 7, 1), (32, 8, 2, 7, 1), (32, 8, 1, 7, 1),
-                  (4, 8, 14, 7, 2), (8, 16, 14, 3, 1), (8, 16, 7, 3, 1)]
-
-    @staticmethod
-    def direct(x, conv, gy):
-        oh, ow = out_shape(x.shape[2], x.shape[3], conv)
-        grad_x, grad_w = ops._depthwise_conv_backward(x, conv, gy, oh, ow)
-        return ops._depthwise_conv(x, conv, oh, ow), grad_x, grad_w.reshape(conv.weight.shape)
+                  (4, 8, 14, 7, 2), (8, 16, 14, 3, 1), (8, 16, 7, 3, 1), (2, 8, 56, 3, 1),
+                  (2, 4, 56, 7, 1)]
 
     @pytest.mark.parametrize("n, c, size, k, d", GEOMETRIES)
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
@@ -322,8 +360,8 @@ class TestRowsKernel:
                          rng=rng, dtype=np.float64)
         x = rng.normal((n, c, size, size), dtype=np.float64)
         gy = rng.normal((n, c, size, size), dtype=np.float64)
-        assert ops._conv_kind(conv, x.shape) == "rows"
-        refs = self.direct(x.astype(dtype).astype(np.float64), conv, gy.astype(dtype))
+        assert ops._conv_kind(conv) == "depthwise"
+        refs = shift_add_depthwise(x.astype(dtype), conv, gy.astype(dtype))
         if dtype == np.float32:
             conv.weight.value = conv.weight.value.astype(dtype)
             x, gy = x.astype(dtype), gy.astype(dtype)
@@ -335,11 +373,10 @@ class TestRowsKernel:
 
     @pytest.mark.parametrize("dtype, blocks", [(np.float32, 3), (np.float64, 5)])
     def test_geometry_spans_channel_blocks(self, dtype, blocks):
-        # the premise of the (8, 48, 14, 7) geometry above
-        conv = make_conv(48, 48, 7, padding=3, groups=48, dtype=dtype)
-        x = np.zeros((8, 48, 14, 14), dtype=dtype)
-        per_block = ops._dw_plan(x, conv, 14, 14, dtype)[2]
-        assert -(-48 // per_block) == blocks and 48 % per_block
+        # the premise of the (8, 48, 14, 7) geometry above: one tile, and
+        # channel blocks whose last one is a remainder
+        plan = ops._dw_plan((8, 48, 14, 14), 7, 3, 1, dtype)
+        assert plan.nt == 1 and -(-48 // plan.per_block) == blocks and 48 % plan.per_block
 
     @pytest.mark.parametrize("n, h, w, n_dead", [
         (8, 1, 1, 48),                                            # micro's stage-4 7x7
@@ -348,7 +385,7 @@ class TestRowsKernel:
     ])
     def test_dead_tap_weights_never_read(self, n, h, w, n_dead):
         conv = make_conv(3, 3, 7, padding=3, groups=3)
-        assert ops._conv_kind(conv, (n, 3, h, w)) == "rows"
+        assert ops._conv_kind(conv) == "depthwise"
         assert_dead_taps_never_read(n, h, w, 7, dict(padding=3), n_dead,
                                     c_in=3, c_out=3, groups=3)
 
@@ -426,48 +463,77 @@ class TestConvDispatch:
         (1, 1, 3, {}, "im2col"),
     ])
     def test_kind_from_geometry(self, c_in, c_out, k, kw, kind):
-        # on a 56x56 map at batch 8, the only small-map kind is out of reach
-        assert ops._conv_kind(make_conv(c_in, c_out, k, **kw), (8, c_in, 56, 56)) == kind
+        # the kind follows from the layer's geometry alone, never from the map
+        assert ops._conv_kind(make_conv(c_in, c_out, k, **kw)) == kind
 
-    @pytest.mark.parametrize("n, size, k, kw, kind", [
-        (8, 14, 7, dict(padding=3), "rows"),                      # ti stage-3 CPE / LK-FFN
-        (8, 7, 7, dict(padding=3), "rows"),                       # ti stage 4
-        (1, 14, 7, dict(padding=3), "rows"),
-        (1, 7, 7, dict(padding=3), "rows"),                       # k * N * oh = 49 exactly
-        (32, 2, 7, dict(padding=3), "rows"),                      # micro stage 3
-        (32, 1, 7, dict(padding=3), "rows"),                      # micro stage 4
-        (8, 28, 7, dict(padding=3), "rows"),
-        (8, 36, 7, dict(padding=3), "rows"),                      # wp = 42
-        (2, 10, 7, dict(padding=3, dilation=2), "rows"),
-        (8, 14, 3, dict(padding=1), "rows"),                      # ti stage-3 IRB at b8
-        (8, 16, 3, dict(padding=1), "rows"),                      # wp = 18
-        (8, 7, 3, dict(padding=1), "rows"),                       # ti stage-4 IRB at b8
-        (32, 8, 3, dict(padding=1), "rows"),                      # micro stage 1
-        (8, 56, 7, dict(padding=3), "depthwise"),                 # wp = 62 > 42
-        (8, 37, 7, dict(padding=3), "depthwise"),                 # wp = 43 > 42
-        (8, 17, 3, dict(padding=1), "depthwise"),                 # wp = 19 > 18
-        (8, 28, 3, dict(padding=1), "depthwise"),                 # ti stage-2 IRB at b8
-        (1, 14, 3, dict(padding=1), "depthwise"),                 # ti stage-3 IRB at b1
-        (2, 8, 3, dict(padding=1), "depthwise"),                  # k * N * oh = 48 < 49
-        (1, 7, 3, dict(padding=1), "depthwise"),                  # ti stage-4 IRB at b1
-        (1, 1, 7, dict(padding=3), "depthwise"),                  # one tap row of one pixel
-        (8, 7, 7, dict(stride=2, padding=3), "im2col"),
-        (8, 7, 1, {}, "depthwise"),
+    @pytest.mark.parametrize("n, size, k, kw, nt, tile", [
+        (8, 14, 7, dict(padding=3), 1, 14),                       # ti stage-3 CPE / LK-FFN
+        (8, 7, 7, dict(padding=3), 1, 7),                         # ti stage 4
+        (1, 14, 7, dict(padding=3), 1, 14),
+        (1, 7, 7, dict(padding=3), 1, 7),
+        (32, 2, 7, dict(padding=3), 1, 2),                        # micro stage 3
+        (32, 1, 7, dict(padding=3), 1, 1),                        # micro stage 4
+        (8, 28, 7, dict(padding=3), 1, 28),
+        (8, 36, 7, dict(padding=3), 1, 36),                       # tp = 42 = 6k
+        (2, 10, 7, dict(padding=3, dilation=2), 1, 4),
+        (8, 14, 3, dict(padding=1), 1, 14),                       # ti stage-3 IRB
+        (8, 16, 3, dict(padding=1), 1, 16),                       # tp = 18 = 6k
+        (8, 7, 3, dict(padding=1), 1, 7),                         # ti stage-4 IRB
+        (32, 8, 3, dict(padding=1), 1, 8),                        # micro stage 1
+        (8, 56, 7, dict(padding=3), 2, 28),
+        (8, 37, 7, dict(padding=3), 2, 19),                       # one column past 6k
+        (8, 17, 3, dict(padding=1), 2, 9),                        # one column past 6k
+        (8, 28, 3, dict(padding=1), 2, 14),                       # ti stage-2 IRB
+        (1, 14, 3, dict(padding=1), 1, 14),
+        (2, 8, 3, dict(padding=1), 1, 8),
+        (1, 7, 3, dict(padding=1), 1, 7),
+        (1, 1, 7, dict(padding=3), 1, 1),                         # one tap row of one pixel
+        (8, 56, 3, dict(padding=1), 4, 14),                       # ti stage-1 IRB
+        (8, 7, 1, {}, 2, 4),                                      # 1x1: tp = T <= 6
+        (1, 56, 3, dict(padding=1), 4, 14),
+        (1, 28, 3, dict(padding=1), 2, 14),
+        (2, 30, 7, dict(padding=6, dilation=2), 1, 30),           # tp = 42 at dilation 2
+        (2, 31, 7, dict(padding=6, dilation=2), 2, 16),
+        (1, 3, 3, dict(padding=10, dilation=10), 3, 1),           # e = 20 > 6k: T = 1
     ])
-    def test_small_map_kind(self, n, size, k, kw, kind):
-        # the kind follows from the geometry and the input's size, nothing else
+    def test_tile_plan(self, n, size, k, kw, nt, tile):
+        # the fewest tiles whose padded width tp = T + (k-1)*d stays within 6k
         conv = make_conv(8, 8, k, groups=8, **kw)
-        assert ops._conv_kind(conv, (n, 8, size, size)) == kind
+        assert ops._conv_kind(conv) == "depthwise"
+        plan = ops._dw_plan((n, 8, size, size), k, conv.padding, conv.dilation, np.float32)
+        assert (plan.nt, plan.tile) == (nt, tile)
+        e = (k - 1) * conv.dilation
+        assert plan.tp == tile + e and (plan.tp <= 6 * k or tile == 1)
+        ow = out_shape(size, size, conv)[1]
+        assert (nt - 1) * tile < ow <= nt * tile
 
     @pytest.mark.parametrize("n, space, kind", [
         (2, POINTWISE, "pointwise"), (2, DEPTHWISE, "depthwise"), (2, DEAD_TAPS, "depthwise"),
         (2, STRIDED_DILATED, "im2col"), (2, DENSE_DEAD_TAPS, "im2col"),
-        (2, NO_LIVE_TAP, "im2col"), (2, ROWS, "rows"), (3, ROWS, "rows"),
-        (2, ROWS_DILATED, "rows"), (3, ROWS_DILATED, "rows"),
+        (2, NO_LIVE_TAP, "im2col"), (2, ROWS, "depthwise"), (3, ROWS, "depthwise"),
+        (2, ROWS_DILATED, "depthwise"), (3, ROWS_DILATED, "depthwise"),
     ])
     def test_property_examples_reach_their_kernel(self, n, space, kind):
         conv, x = drawn_conv(n, **space)
-        assert ops._conv_kind(conv, x.shape) == kind
+        assert ops._conv_kind(conv) == kind
+
+    @pytest.mark.parametrize("space, nt", [(MULTI_TILE, 3), (MULTI_TILE_DILATED, 3),
+                                           (GRAD_OUT_CROP, 2)])
+    def test_multi_tile_examples_span_tiles(self, space, nt):
+        # the premise of those examples: the forward and the input gradient,
+        # run over grad_out (cropped by p - e when p > e), both take several
+        # tiles, the last one partial
+        conv, x = drawn_conv(2, **space)
+        k, p, d = conv.kernel_size, conv.padding, conv.dilation
+        e = (k - 1) * d
+        plan = ops._dw_plan(x.shape, k, p, d, x.dtype)
+        oh, ow = out_shape(x.shape[2], x.shape[3], conv)
+        crop = max(0, p - e)
+        grad_plan = ops._dw_plan((2, 3, oh - 2 * crop, ow - 2 * crop), k, max(0, e - p), d,
+                                 x.dtype)
+        assert plan.nt == grad_plan.nt == nt
+        assert ow % plan.tile and x.shape[3] % grad_plan.tile
+        assert (p > e) == (space is GRAD_OUT_CROP)
 
     def test_kernel_size_below_one_rejected(self):
         for k in (0, -3):
