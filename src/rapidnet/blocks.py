@@ -18,22 +18,25 @@ FFN: a model holds the two as consecutive entries of its block list.
 `DilatedConvBlock` chains the same pair for standalone use (gradient checks);
 it has no plan of its own and is never a model entry.
 
-`forward(x, train=False)` runs the block; `train`, passed on to each BN, is
-the only way train/eval reaches a layer (train mode uses batch statistics,
-updates running estimates, and records the activations `backward` needs);
-`backward(grad_out)` accumulates parameter gradients and returns the
-gradient w.r.t. the block input.  Blocks whose BN layers have been folded
-away (see `reparam`) carry `None` in the BN slots and skip normalization,
-and a fused CPE stage carries `skip=False`.
+Blocks hold no state but their layers.  `forward(x, tape=None)` runs the
+block; the tape, a list the caller owns, is the only way train/eval reaches
+a layer.  Without one the forward is eval mode and pure; with one, each BN
+uses batch statistics and updates its running estimates, and each stage
+pushes its activations (each parallel group its pre-GeLU sum).
+`backward(grad_out, tape)` pops them in reverse, accumulates parameter
+gradients and returns the gradient w.r.t. the block input.  Blocks whose BN
+layers have been folded away (see `reparam`) carry `None` in the BN slots
+and skip normalization, and a fused CPE stage carries `skip=False`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import GeometryError, ShapeError, StateError
+from .errors import GeometryError, ShapeError
 from .ops import (
     BatchNorm2d,
     Conv2dLayer,
@@ -90,7 +93,7 @@ def _accumulate(layer, r) -> None:
         p.accumulate(r.grad_params[name])
 
 
-def _stage_forward(st: Stage, x, train, cache):
+def _stage_forward(st: Stage, x, tape):
     if st.conv is None:
         y = global_avg_pool(x)
     elif isinstance(st.conv, LinearLayer):
@@ -99,15 +102,14 @@ def _stage_forward(st: Stage, x, train, cache):
         y = conv2d(x, st.conv)
     if st.skip:
         y = add(x, y)
-    z = y if st.bn is None else batchnorm_forward(y, st.bn, train)
-    out = gelu(z) if st.act else z
-    if cache is not None:
-        cache.append((x, y, z))
-    return out
+    z = y if st.bn is None else batchnorm_forward(y, st.bn, tape is not None)
+    if tape is not None:
+        tape.append((x, y, z))
+    return gelu(z) if st.act else z
 
 
-def _stage_backward(st: Stage, grad, entry):
-    x, y, z = entry
+def _stage_backward(st: Stage, grad, tape):
+    x, y, z = tape.pop()
     if st.act:
         grad = gelu_backward(z, grad)
     if st.bn is not None:
@@ -124,26 +126,18 @@ def _stage_backward(st: Stage, grad, entry):
     return r.grad_input + grad if st.skip else r.grad_input
 
 
-def _parallel_forward(group: Parallel, x, train, cache):
-    entries: Optional[list] = [] if cache is not None else None
-    outs = [_stage_forward(st, x, train, entries) for st in group.stages]
-    pre = outs[0]
-    for out in outs[1:]:
-        pre = add(pre, out)
-    if cache is not None:
-        cache.append((entries, pre))
+def _parallel_forward(group: Parallel, x, tape):
+    pre = reduce(add, [_stage_forward(st, x, tape) for st in group.stages])
+    if tape is not None:
+        tape.append(pre)
     return gelu(pre) if group.act else pre
 
 
-def _parallel_backward(group: Parallel, grad, entry):
-    entries, pre = entry
+def _parallel_backward(group: Parallel, grad, tape):
+    pre = tape.pop()
     if group.act:
         grad = gelu_backward(pre, grad)
-    total = None
-    for st, e in zip(reversed(group.stages), reversed(entries)):
-        g = _stage_backward(st, grad, e)
-        total = g if total is None else total + g
-    return total
+    return reduce(np.add, [_stage_backward(st, grad, tape) for st in reversed(group.stages)])
 
 
 class _Block:
@@ -154,14 +148,6 @@ class _Block:
 
     def __init__(self, plan):
         self.plan = list(plan)  # stages and parallel groups in forward order
-        self._cache = None
-
-    def _take_cache(self):
-        if self._cache is None:
-            raise StateError(f"{type(self).__name__}.backward called without a "
-                             "preceding train-mode forward")
-        cache, self._cache = self._cache, None
-        return cache
 
     def named_layers(self):
         """(name, layer) for every conv, linear and BN layer, in forward order."""
@@ -182,28 +168,24 @@ class _Block:
                 for bname, buf in layer.named_buffers():
                     yield f"{name}.{bname}", buf
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
         if x.ndim != 4:
             raise ShapeError(f"{type(self).__name__} expects a 4-D input, got {x.shape}")
         m = self.input_multiple
         if x.shape[2] % m or x.shape[3] % m:
             raise GeometryError(f"{type(self).__name__} input resolution "
                                 f"{x.shape[2]}x{x.shape[3]} must be divisible by {m}")
-        cache: Optional[list] = [] if train else None
         h = x
         for item in self.plan:
             step = _parallel_forward if isinstance(item, Parallel) else _stage_forward
-            h = step(item, h, train, cache)
-        if train:
-            self._cache = cache
+            h = step(item, h, tape)
         return add(x, h) if self.residual else h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        cache = self._take_cache()
+    def backward(self, grad_out: np.ndarray, tape: list) -> np.ndarray:
         g = grad_out
-        for item, entry in zip(reversed(self.plan), reversed(cache)):
+        for item in reversed(self.plan):
             step = _parallel_backward if isinstance(item, Parallel) else _stage_backward
-            g = step(item, g, entry)
+            g = step(item, g, tape)
         return grad_out + g if self.residual else g
 
 
@@ -319,11 +301,11 @@ class DilatedConvBlock:
         self.mldc = mldc
         self.ffn = ffn
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.ffn.forward(self.mldc.forward(x, train), train)
+    def forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+        return self.ffn.forward(self.mldc.forward(x, tape), tape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.mldc.backward(self.ffn.backward(grad_out))
+    def backward(self, grad_out: np.ndarray, tape: list) -> np.ndarray:
+        return self.mldc.backward(self.ffn.backward(grad_out, tape), tape)
 
 
 class HeadBlock(_Block):

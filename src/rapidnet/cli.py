@@ -222,9 +222,10 @@ def _verify_gradients() -> List[tuple]:
     dcb = DilatedConvBlock(mldc, ffn)
     x = rng.normal((1, 2, 8, 8), dtype=np.float64)
     gy = rng.normal(x.shape, dtype=np.float64)
-    num = fd_grad(lambda t: dcb.forward(t, train=True), x.copy(), gy)
-    dcb.forward(x, train=True)
-    err = rel_err(dcb.backward(gy), num)
+    num = fd_grad(lambda t: dcb.forward(t, []), x.copy(), gy)
+    tape: list = []
+    dcb.forward(x, tape)
+    err = rel_err(dcb.backward(gy, tape), num)
     results.append(("grad dilated conv block", err, err < 1e-5))
     return results
 
@@ -282,8 +283,9 @@ def cmd_verify(args) -> int:
                        "tol": 1e-5, "pass": passed})
 
     ok = all(c["pass"] for c in checks)
-    if args.json:
-        print(json.dumps({"passed": ok, "checks": checks}))
+    if args.json:  # JSON has no NaN or Infinity: a non-finite value is null
+        rows = [{**c, "value": c["value"] if math.isfinite(c["value"]) else None} for c in checks]
+        print(json.dumps({"passed": ok, "checks": rows}))
     else:
         for c in checks:
             print(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['label']} "
@@ -359,6 +361,10 @@ def cmd_export(args) -> int:
     info = {"out": args.out, "fused": args.fused}
     if args.fused:
         model, rep = reparam.reparameterize_model(model)
+        if not math.isfinite(rep.max_abs_logit_diff):
+            print(f"error: the fusion check's max-abs logit diff is {rep.max_abs_logit_diff}; "
+                  "nothing written", file=sys.stderr)
+            return RUNTIME_ERROR
         info.update(fused_skips=rep.fused_skips, folded_bns=rep.folded_bns,
                     max_abs_logit_diff=rep.max_abs_logit_diff)
         print(f"fused {rep.fused_skips} skips, folded {rep.folded_bns} BN layers "

@@ -28,7 +28,7 @@ from .blocks import (
     MldcBlock,
     StemBlock,
 )
-from .errors import ConfigError, GeometryError, ShapeError
+from .errors import ConfigError, GeometryError, ShapeError, StateError
 from .ops import BatchNorm2d, Param
 from .tensor import Rng, resolve_dtype
 
@@ -152,19 +152,20 @@ class RapidNetModel:
     """A built network: one ordered list of named blocks (stem, four stages
     with interleaved downsamples, head) that every walker reads.
 
-    `mode` ("train" or "eval") is stored only here and reaches each block as
-    `forward`'s `train` argument; eval-mode forward is pure, train-mode
-    forward updates BN running statistics and records activations so that
-    `backward` can run.  `dtype` and `fused` are read off the blocks, not
-    stored.  Blocks are named stem, stage{i}.irb{j},
-    stage{i}.dcb{j}.mldc, stage{i}.dcb{j}.ffn, down{i} and head; parameter
-    names are <block>.<layer>.<tensor> (see `iter_params`).
+    `mode` ("train" or "eval") is stored only here.  An eval-mode forward is
+    pure.  A train-mode forward updates BN running statistics and records
+    all blocks' activations on one tape, which `backward` consumes and
+    `set_mode` drops.  `dtype` and `fused` are read off the blocks, not
+    stored.  Blocks are named stem, stage{i}.irb{j}, stage{i}.dcb{j}.mldc,
+    stage{i}.dcb{j}.ffn, down{i} and head; parameter names are
+    <block>.<layer>.<tensor> (see `iter_params`).
     """
 
     def __init__(self, config: ModelConfig, blocks: List[Tuple[str, object]]):
         self.config = config
         self._blocks = list(blocks)
         self.mode = "eval"
+        self._tape: Optional[list] = None  # the last train-mode forward's record
 
     # -- structure ---------------------------------------------------------
 
@@ -182,6 +183,7 @@ class RapidNetModel:
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         self.mode = mode
+        self._tape = None
 
     def iter_batchnorms(self) -> Iterator[BatchNorm2d]:
         """Every BatchNorm2d layer in the structure (none after fusion)."""
@@ -224,21 +226,26 @@ class RapidNetModel:
         if x.shape[2] % 32 != 0 or x.shape[3] % 32 != 0:
             raise GeometryError(f"input resolution {x.shape[2]}x{x.shape[3]} "
                                 "must be divisible by 32")
-        train = self.mode == "train"
+        tape = [] if self.mode == "train" else None
+        self._tape = None  # a failed forward leaves no record behind
         h = x
         for _, blk in self._blocks:
-            h = blk.forward(h, train)
+            h = blk.forward(h, tape)
+        self._tape = tape
         return h
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Propagate loss gradients back through the whole network.
 
-        Requires a preceding train-mode forward; accumulates into each
-        parameter's grad slot and returns the gradient w.r.t. the input.
+        Consumes the preceding train-mode forward's tape, accumulates into
+        each parameter's grad slot and returns the gradient w.r.t. the input.
         """
+        if self._tape is None:
+            raise StateError("backward needs a train-mode forward since the last backward")
+        tape, self._tape = self._tape, None
         g = grad_logits
         for _, blk in reversed(self._blocks):
-            g = blk.backward(g)
+            g = blk.backward(g, tape)
         return g
 
 

@@ -4,22 +4,23 @@ cross-entropy.
 
 `conv2d` and `conv2d_backward` pick one of three kernels from the layer's
 geometry (`_conv_kind`).  Pointwise (1x1, stride 1, no padding, one group)
-convs are plain matmuls on [N, C, H*W].  Stride-1 depthwise convs are row
-GEMMs over width tiles: the output columns are split into tiles whose padded
-width is at most 6k, one cache-sized block of channels at a time is padded
-and tiled into a channel-major [C, hp*N*nt, tp] layout (`_row_blocks`), in
-which a live kernel row's shifted input is one contiguous row slice, and
-each live kernel row adds one batched matmul with a banded [tp, T] weight
-per channel; kernel rows and columns that read only padding are skipped.
-Its input gradient is the same kernel run over grad_out with the kernel
-rotated by 180 degrees.  Every other conv, strided depthwise ones included,
-lowers to im2col plus a batched matrix multiply.  The im2col column holds
-only the live taps (those whose window reads at least one input pixel),
-each copied from its in-bounds output rectangle of the unpadded input with
-its border strips zeroed, and it is multiplied by the matching weight
-sub-block.  `conv2d_naive` is an explicit-loop reference used as the oracle
-for all three in tests.  Backward functions recompute what they need from
-(input, layer, grad_out); there is no autograd graph.
+convs are plain matmuls on [N, C, H*W].  Stride-1 depthwise convs with k > 1
+are row GEMMs over width tiles: the output columns are split into tiles
+whose padded width is at most 6k, one cache-sized block of channels at a
+time is padded and tiled into a channel-major [C, hp*N*nt, tp] layout
+(`_row_blocks`), in which a live kernel row's shifted input is one
+contiguous row slice, and each live kernel row adds one batched matmul with
+a banded [tp, T] weight per channel; kernel rows and columns that read only
+padding are skipped.  Its input gradient is the same kernel run over
+grad_out with the kernel rotated by 180 degrees.  Every other conv, 1x1 and
+strided depthwise ones included, lowers to im2col plus a batched matrix
+multiply.  The im2col column holds only the live taps (those whose window
+reads at least one input pixel), each copied from its in-bounds output
+rectangle of the unpadded input with its border strips zeroed, and it is
+multiplied by the matching weight sub-block.  `conv2d_naive` is an
+explicit-loop reference used as the oracle for all three in tests.  Backward
+functions recompute what they need from (input, layer, grad_out); there is
+no autograd graph.
 
 Train-mode batch norm takes its statistics once per call from the centred
 input d = x - mean, and its backward is the closed form
@@ -264,15 +265,16 @@ def _check_conv_input(x: np.ndarray, conv: Conv2dLayer) -> None:
 def _conv_kind(conv: Conv2dLayer) -> str:
     """Which kernel `conv2d`/`conv2d_backward` run: "pointwise", "depthwise" or "im2col".
 
-    Every stride-1 depthwise conv takes the width-tiled row GEMMs
-    ("depthwise", `_dw_conv`); the map size only sets its tile plan
-    (`_dw_plan`).  A strided depthwise conv takes the grouped im2col: in the
-    tiled layout a stride-s kernel row is one slice only when N == 1, and no
-    RapidNet layer is one.
+    A stride-1 depthwise conv with k > 1 takes the width-tiled row GEMMs
+    ("depthwise", `_dw_conv`); the map size only sets its tile plan.  A 1x1
+    one (a per-channel scale, for which the band pays 6 MACs per output) and
+    a strided one take the grouped im2col: in the tiled layout a stride-s
+    kernel row is one slice only when N == 1, and no RapidNet layer is one.
     """
-    if conv.kernel_size == 1 and conv.stride == 1 and conv.padding == 0 and conv.groups == 1:
+    k = conv.kernel_size
+    if k == 1 and conv.stride == 1 and conv.padding == 0 and conv.groups == 1:
         return "pointwise"
-    if conv.stride == 1 and 1 < conv.groups == conv.in_channels == conv.out_channels:
+    if k > 1 and conv.stride == 1 and 1 < conv.groups == conv.in_channels == conv.out_channels:
         return "depthwise"
     return "im2col"
 

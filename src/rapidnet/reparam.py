@@ -118,7 +118,6 @@ def _fuse_block(block, fuse_conv=_folded_conv):
         return st._replace(conv=fuse_conv(st), bn=None, skip=False)
 
     out = copy.copy(block)
-    out._cache = None
     out.plan = [item._replace(stages=[fuse_stage(st) for st in item.stages])
                 if isinstance(item, Parallel) else fuse_stage(item)
                 for item in block.plan]
@@ -187,7 +186,8 @@ def recalibrate_bn(model: RapidNetModel, x: np.ndarray) -> None:
 
     The batch should be large enough that every BN layer sees several
     samples per channel (N * H * W at the deepest stage), or the variance
-    estimates degenerate and eval-mode scales blow up.
+    estimates degenerate and eval-mode scales blow up.  Restoring the mode
+    drops the pass's tape, so no activations outlive the call.
     """
     bns = list(model.iter_batchnorms())
     for bn in bns:

@@ -182,6 +182,9 @@ def load(path: str) -> RapidNetModel:
                 raise IntegrityError(f"checkpoint entry {name!r} does not exist in the "
                                      f"{cfg.variant!r} model structure")
             target = buffers.pop(name)
+            # BN statistics are a few KB: check them, not the weights, on every load
+            if not np.isfinite(arr).all() or (name.endswith(".running_var") and (arr < 0).any()):
+                raise IntegrityError(f"BN buffer {name!r} is non-finite or a negative variance")
         if target.shape != arr.shape:
             raise IntegrityError(f"entry {name!r} has shape {arr.shape}, "
                                  f"model expects {target.shape}")

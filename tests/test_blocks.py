@@ -144,3 +144,35 @@ class TestResidualPassthrough:
         block = factory()
         x = rng.normal((1, 4, 8, 8))
         assert np.allclose(block.forward(x), x, atol=1e-6)
+
+
+class TestTape:
+    """Blocks hold no state: a train forward records on the caller's tape, and
+    backward pops exactly what that forward pushed."""
+
+    @pytest.mark.parametrize("factory, shape", [
+        (lambda: StemBlock(3, 4), (2, 3, 8, 8)),
+        (lambda: InvertedResidualBlock(4), (2, 4, 4, 4)),
+        (lambda: DownsampleBlock(4, 6), (2, 4, 4, 4)),
+        (lambda: MldcBlock(4), (2, 4, 6, 6)),
+        (lambda: MldcBlock(4, gelu_per_branch=True), (2, 4, 6, 6)),
+        (lambda: LkFfnBlock(4), (2, 4, 6, 6)),
+        (lambda: LkFfnBlock(4, large_kernel=False), (2, 4, 6, 6)),
+        (lambda: HeadBlock(4, 3, hidden=5), (2, 4, 3, 3)),
+        (lambda: DilatedConvBlock(MldcBlock(4), LkFfnBlock(4)), (2, 4, 6, 6)),
+    ], ids=["stem", "irb", "down", "mldc", "mldc_gelu_per_branch", "lkffn", "lkffn_1x1",
+            "head", "dcb"])
+    def test_backward_empties_the_tape(self, factory, shape, rng):
+        block = factory()
+        x = rng.normal(shape)
+        tape = []
+        out = block.forward(x, tape)
+        assert tape
+        grad = block.backward(rng.normal(out.shape), tape)
+        assert tape == [] and grad.shape == x.shape
+
+    @pytest.mark.parametrize("tape", [None, []])
+    def test_forward_sets_no_block_attribute(self, tape, rng):
+        block = MldcBlock(4)
+        block.forward(rng.normal((2, 4, 6, 6)), tape)
+        assert list(vars(block)) == ["plan"]

@@ -14,7 +14,7 @@ from rapidnet import reparam
 from rapidnet.cli import main
 from rapidnet.reparam import count_batchnorms
 from rapidnet.tensor import Rng
-from rapidnet.weights_io import MAGIC, load
+from rapidnet.weights_io import MAGIC, load, save
 
 
 def run(argv, capsys):
@@ -151,6 +151,25 @@ class TestVerify:
         assert code == 2
         row = [line for line in out.splitlines() if "fused logits finite" in line]
         assert len(row) == 1 and row[0].startswith("[FAIL]")
+
+
+    def test_json_prints_non_finite_values_as_null(self, capsys, monkeypatch):
+        real = reparam.reparameterize_model
+
+        def nan_fused(model):
+            fused, report = real(model)
+            fused.forward = lambda x: np.full((x.shape[0], fused.config.num_classes), np.nan)
+            return fused, report
+
+        def refuse(constant):
+            raise AssertionError(f"bare {constant} in --json output")
+
+        monkeypatch.setattr(reparam, "reparameterize_model", nan_fused)
+        code, out, _ = run(["verify", "--variant", "micro", "--dtype", "f64", "--json"], capsys)
+        assert code == 2
+        checks = json.loads(out, parse_constant=refuse)["checks"]
+        row = [c for c in checks if c["label"].startswith("reparam equivalence")]
+        assert len(row) == 1 and row[0]["value"] is None and row[0]["pass"] is False
 
 
 class TestBench:
@@ -295,6 +314,20 @@ class TestInferExport:
                           "--out", str(fused_path)], capsys)
         assert code == 0
         assert count_batchnorms(load(str(fused_path))) == 0
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_export_fused_non_finite_check_exits_two(self, json_flag, checkpoint, tmp_path,
+                                                      capsys):
+        model = load(str(checkpoint))
+        dict(model.iter_params())["stage3.dcb0.mldc.pw_in.weight"].value[0, 0] = np.nan
+        save(model, str(checkpoint))
+        fused_path = tmp_path / "fused.rpdn"
+        code, out, err = run(["export", "--model", str(checkpoint), "--fused",
+                              "--out", str(fused_path), *json_flag], capsys)
+        assert code == 2
+        assert out == "" and not fused_path.exists()
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "nan" in err and "Traceback" not in err
 
     def test_infer_on_fused_matches_unfused(self, checkpoint, tmp_path, capsys):
         fused_path = tmp_path / "fused.rpdn"

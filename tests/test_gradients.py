@@ -169,13 +169,14 @@ def block_grad_check(block, x, rng, seed_params=True):
         for _, p in block.named_params():
             if p.value.ndim >= 1 and np.all(p.value == 0):
                 p.value[...] = rng.normal(p.value.shape, std=0.05, dtype=F64)
-    gy = rng.normal(block.forward(x, train=True).shape, dtype=F64)
+    gy = rng.normal(block.forward(x, []).shape, dtype=F64)
 
     def loss(t):
-        return float(np.sum(block.forward(t, train=True) * gy))
+        return float(np.sum(block.forward(t, []) * gy))
 
-    block.forward(x, train=True)
-    analytical = block.backward(gy)
+    tape = []
+    block.forward(x, tape)
+    analytical = block.backward(gy, tape)
     numerical = fd_grad(loss, x.copy())
     assert rel_err(analytical, numerical) < TOL
 
@@ -188,10 +189,10 @@ def block_grad_check(block, x, rng, seed_params=True):
             p.value = saved
             return out
 
-        block.forward(x, train=True)
+        block.forward(x, tape)
         for _, q in params:
             q.zero_grad()
-        block.backward(gy)
+        block.backward(gy, tape)
         num_p = fd_grad(loss_p, p.value.copy())
         assert rel_err(p.grad, num_p) < TOL, f"param {name}"
 
@@ -256,10 +257,11 @@ class TestBlockBackward:
         gy = rng.normal((1, 2, 8, 8), dtype=F64)
 
         def loss(t):
-            return float(np.sum(block.forward(t, train=True) * gy))
+            return float(np.sum(block.forward(t, []) * gy))
 
-        block.forward(x, train=True)
-        analytical = block.backward(gy)
+        tape = []
+        block.forward(x, tape)
+        analytical = block.backward(gy, tape)
         numerical = fd_grad(loss, x.copy())
         assert rel_err(analytical, numerical) < TOL
 
@@ -267,4 +269,4 @@ class TestBlockBackward:
         rng = Rng(22)
         block = LkFfnBlock(2, rng=rng, dtype=F64)
         with pytest.raises(Exception):
-            block.backward(rng.normal((1, 2, 4, 4), dtype=F64))
+            block.backward(rng.normal((1, 2, 4, 4), dtype=F64), [])

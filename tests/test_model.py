@@ -6,7 +6,7 @@ import pytest
 from conftest import layers
 from rapidnet.analysis import count_macs, count_params
 from rapidnet.blocks import LkFfnBlock, MldcBlock
-from rapidnet.errors import ConfigError, GeometryError
+from rapidnet.errors import ConfigError, GeometryError, StateError
 from rapidnet.model import (
     ModelConfig,
     StageConfig,
@@ -14,7 +14,8 @@ from rapidnet.model import (
     build_model,
     default_config,
 )
-from rapidnet.ops import Param
+from rapidnet.ops import Param, softmax_cross_entropy
+from rapidnet.reparam import recalibrate_bn
 from rapidnet.tensor import Rng
 
 
@@ -169,6 +170,58 @@ class TestForward:
         before = bn.running_mean.copy()
         model.forward(Rng(3).normal((2, 3, 32, 32)))
         assert not np.array_equal(before, bn.running_mean)
+
+
+class TestTape:
+    """The model owns the one tape: a train forward records it, backward
+    consumes it, and set_mode drops it."""
+
+    @staticmethod
+    def trained_forward():
+        model = build_model(default_config("micro"))
+        model.set_mode("train")
+        logits = model.forward(Rng(3).normal((2, 3, 32, 32)))
+        return model, softmax_cross_entropy(logits, [1, 5])[1]
+
+    def test_backward_consumes_the_tape(self):
+        model, grad = self.trained_forward()
+        assert model.backward(grad).shape == (2, 3, 32, 32)
+        with pytest.raises(StateError):
+            model.backward(grad)  # a second call
+
+    def test_backward_without_train_forward(self):
+        model = build_model(default_config("micro"))
+        with pytest.raises(StateError):
+            model.backward(np.zeros((2, 8), np.float32))
+        model.forward(Rng(3).normal((2, 3, 32, 32)))  # eval mode records nothing
+        with pytest.raises(StateError):
+            model.backward(np.zeros((2, 8), np.float32))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_set_mode_drops_the_tape(self, mode):
+        model, grad = self.trained_forward()
+        model.set_mode(mode)
+        with pytest.raises(StateError):
+            model.backward(grad)
+
+    def test_recalibrate_bn_leaves_nothing_recorded(self):
+        model, grad = self.trained_forward()
+        recalibrate_bn(model, Rng(4).normal((2, 3, 32, 32)))
+        assert model.mode == "train"
+        with pytest.raises(StateError):
+            model.backward(grad)
+
+    def test_failed_train_forward_drops_the_last_tape(self, monkeypatch):
+        model, grad = self.trained_forward()
+
+        def fail(h, tape):
+            raise RuntimeError("head failed")
+
+        monkeypatch.setattr(model.named_blocks()[-1][1], "forward", fail)
+        with pytest.raises(RuntimeError, match="head failed"):
+            model.forward(Rng(3).normal((2, 3, 32, 32)))
+        with pytest.raises(StateError):
+            model.backward(grad)
 
 
 def bn_state(model) -> list:

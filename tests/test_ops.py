@@ -77,6 +77,10 @@ MULTI_TILE_DILATED = dict(k=3, d=2, s=1, p=2, c=3, c_out=3, depthwise=True, bias
                           extra_h=1, extra_w=30, seed=10)
 GRAD_OUT_CROP = dict(k=3, d=1, s=1, p=3, c=3, c_out=3, depthwise=True, bias=True,
                      extra_h=1, extra_w=20, seed=11)
+# The LK-FFN's depthwise conv with `lk_ffn=False`: a 1x1 per-channel scale,
+# which the grouped im2col owns.
+DEPTHWISE_1X1 = dict(k=1, d=1, s=1, p=0, c=3, c_out=3, depthwise=True, bias=True,
+                     extra_h=2, extra_w=3, seed=12)
 
 
 def drawn_conv(n, k, d, s, p, c, c_out, depthwise, bias, extra_h, extra_w, seed):
@@ -232,6 +236,7 @@ class TestConvOracle:
     @example(n=2, **MULTI_TILE)
     @example(n=2, **MULTI_TILE_DILATED)
     @example(n=2, **GRAD_OUT_CROP)
+    @example(n=2, **DEPTHWISE_1X1)
     def test_property_matches_naive(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert x.dtype == conv.weight.value.dtype == np.float64
@@ -250,6 +255,7 @@ class TestConvOracle:
     @example(n=3, **MULTI_TILE)
     @example(n=3, **MULTI_TILE_DILATED)
     @example(n=3, **GRAD_OUT_CROP)
+    @example(n=3, **DEPTHWISE_1X1)
     def test_property_backward_adjoint(self, n, **space):
         conv, x = drawn_conv(n, **space)
         assert_adjoint(conv, x, space["seed"] + 1)
@@ -452,7 +458,7 @@ class TestDenseDeadTaps:
 class TestConvDispatch:
     @pytest.mark.parametrize("c_in, c_out, k, kw, kind", [
         (8, 32, 1, {}, "pointwise"),
-        (8, 8, 1, dict(groups=8), "depthwise"),
+        (8, 8, 1, dict(groups=8), "im2col"),
         (8, 8, 7, dict(padding=3, groups=8), "depthwise"),
         (8, 8, 3, dict(stride=2, padding=1, groups=8), "im2col"),
         (8, 8, 1, dict(stride=2), "im2col"),
@@ -489,7 +495,7 @@ class TestConvDispatch:
         (1, 7, 3, dict(padding=1), 1, 7),
         (1, 1, 7, dict(padding=3), 1, 1),                         # one tap row of one pixel
         (8, 56, 3, dict(padding=1), 4, 14),                       # ti stage-1 IRB
-        (8, 7, 1, {}, 2, 4),                                      # 1x1: tp = T <= 6
+        (8, 27, 5, dict(padding=2), 2, 14),                       # 5x5: one column past 6k
         (1, 56, 3, dict(padding=1), 4, 14),
         (1, 28, 3, dict(padding=1), 2, 14),
         (2, 30, 7, dict(padding=6, dilation=2), 1, 30),           # tp = 42 at dilation 2
@@ -512,6 +518,7 @@ class TestConvDispatch:
         (2, STRIDED_DILATED, "im2col"), (2, DENSE_DEAD_TAPS, "im2col"),
         (2, NO_LIVE_TAP, "im2col"), (2, ROWS, "depthwise"), (3, ROWS, "depthwise"),
         (2, ROWS_DILATED, "depthwise"), (3, ROWS_DILATED, "depthwise"),
+        (2, DEPTHWISE_1X1, "im2col"),
     ])
     def test_property_examples_reach_their_kernel(self, n, space, kind):
         conv, x = drawn_conv(n, **space)

@@ -382,6 +382,29 @@ class TestErrorCases:
         with pytest.raises(OSError):
             load(str(tmp_path / "nope.rpdn"))
 
+    @pytest.mark.parametrize("name, value", [
+        ("stem.bn1.running_var", -4.0),
+        ("stem.bn1.running_var", np.nan),
+        ("stage4.dcb0.ffn.bn2.running_var", np.inf),
+        ("stem.bn2.running_mean", np.nan),
+        ("stage3.irb0.bn1.running_mean", -np.inf),
+    ])
+    def test_bad_bn_statistics_are_integrity_errors(self, name, value, tmp_path):
+        # the statistics BatchNorm2d requires: finite, with variances >= 0
+        model = build_model(default_config("micro"))
+        dict(model.iter_buffers())[name][1] = value
+        path = tmp_path / "model.rpdn"
+        save(model, str(path))
+        with pytest.raises(IntegrityError, match=name):
+            load(str(path))
+
+    def test_negative_running_mean_loads(self, tmp_path):
+        model = build_model(default_config("micro"))
+        dict(model.iter_buffers())["stem.bn1.running_mean"][:] = -4.0
+        path = tmp_path / "model.rpdn"
+        save(model, str(path))
+        assert_models_equal(model, load(str(path)))
+
 
 def header_byte_ranges(data: bytes):
     """(start, stop) spans of every non-payload byte of a checkpoint, walked
