@@ -3,7 +3,7 @@ backbone family, with static cost analysis, structural reparameterization,
 serialization, a toy trainer, and a micro-benchmark harness.
 """
 
-from . import analysis, bench, blocks, ops, reparam, tensor, trainer, weights_io
+from . import analysis, bench, blas, blocks, ops, reparam, tensor, trainer, weights_io
 from .analysis import (
     AnalysisReport,
     LayerCost,

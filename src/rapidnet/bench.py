@@ -9,10 +9,7 @@ annotations, by contrast, are exact and shared with the analysis module.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import json
-import os
 import statistics
 import time
 from dataclasses import asdict, dataclass
@@ -21,6 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import block_conv_macs, conv_macs, count_macs
+from .blas import threads as blas_threads
 from .blocks import MldcBlock
 from .model import build_model, default_config
 from .ops import Conv2dLayer, conv2d
@@ -54,24 +52,10 @@ class BenchResult:
     median_ns: float
     min_ns: int
     threads: Optional[int]
+    workers: Optional[int]  # batch slices the "model" case's forward ran; None for op cases
 
     def to_json_line(self) -> str:
         return json.dumps(asdict(self))
-
-
-def blas_threads() -> Optional[int]:
-    """Thread count the OpenBLAS bundled with numpy reports; None when none is found."""
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = []
-                return fn()
-    return None
 
 
 def trimmed_stats(times: Sequence[float], trim: int) -> Tuple[float, float, float]:
@@ -112,13 +96,17 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
     conv at the given dilation, C >= 2), "mldc_block", "pw_mixer"
     (MLDC block with a pointwise mixer), "model" (full variant forward,
     optionally reparameterized).  The result's `threads` is what OpenBLAS
-    reports it uses; the harness itself does not alter numpy's threading.
+    reports outside the timed calls.  A "model" forward of N >= 2 runs as
+    `workers` batch slices, one per usable CPU, with OpenBLAS pinned to one
+    thread meanwhile (see `RapidNetModel.forward`); the op cases leave
+    numpy's threading as it is.
     """
     protocol.validate()
     if case not in BENCH_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {BENCH_CASES}")
     n, c, h, w = (int(v) for v in shape)
     rng = Rng(seed)
+    workers = None
     x = rng.normal((n, c, h, w), dtype=np.float32)
 
     if case == "dilated3x3":
@@ -155,10 +143,12 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
             model, _ = reparameterize_model(model)
         macs = count_macs(model, h) * n
         fn = lambda: model.forward(x)
+        workers = model.workers(n)
         label = f"model({variant}{', fused' if fused else ''})"
 
     rounds = _time_case(fn, protocol)
     mean, median, tmin = trimmed_stats(rounds, protocol.trim)
     return BenchResult(label=label, shape=[n, c, h, w], macs=macs,
                        round_times_ns=rounds, trimmed_mean_ns=mean,
-                       median_ns=median, min_ns=int(tmin), threads=blas_threads())
+                       median_ns=median, min_ns=int(tmin), threads=blas_threads(),
+                       workers=workers)

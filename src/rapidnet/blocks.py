@@ -169,6 +169,8 @@ class _Block:
                     yield f"{name}.{bname}", buf
 
     def forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+        if tape is not None and not isinstance(tape, list):
+            raise TypeError(f"tape must be a list or None, got {type(tape).__name__}")
         if x.ndim != 4:
             raise ShapeError(f"{type(self).__name__} expects a 4-D input, got {x.shape}")
         m = self.input_multiple

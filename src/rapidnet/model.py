@@ -14,11 +14,15 @@ Variant configurations (ti/s/m/b) follow the published architecture table;
 from __future__ import annotations
 
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import astuple, dataclass, fields
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import blas
 from .blocks import (
     MIXER_MODES,
     DownsampleBlock,
@@ -148,6 +152,37 @@ def default_config(variant: str) -> ModelConfig:
     return ModelConfig(stages=stages, num_classes=1000, head_hidden=_HEAD_HIDDEN, variant=key)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool: Optional[ThreadPoolExecutor] = None  # runs batch slices 1...; made on first use
+_pool_lock = threading.Lock()
+
+
+def _slice_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="rapidnet-slice")
+        return _pool
+
+
+def _drop_pool_in_child() -> None:
+    # a forked child has none of the pool's threads, and a lock held by
+    # another thread at the fork would never be released
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool_in_child)
+
+
 class RapidNetModel:
     """A built network: one ordered list of named blocks (stem, four stages
     with interleaved downsamples, head) that every walker reads.
@@ -155,10 +190,16 @@ class RapidNetModel:
     `mode` ("train" or "eval") is stored only here.  An eval-mode forward is
     pure.  A train-mode forward updates BN running statistics and records
     all blocks' activations on one tape, which `backward` consumes and
-    `set_mode` drops.  `dtype` and `fused` are read off the blocks, not
-    stored.  Blocks are named stem, stage{i}.irb{j}, stage{i}.dcb{j}.mldc,
-    stage{i}.dcb{j}.ffn, down{i} and head; parameter names are
-    <block>.<layer>.<tensor> (see `iter_params`).
+    `set_mode` drops.  An eval-mode forward of N >= 2 samples splits the
+    batch into `workers(N)` contiguous slices, one per usable CPU.  Slice 0
+    runs on the caller's thread and the rest on a shared thread pool, all
+    with OpenBLAS pinned to one thread (`blas.one_thread`); the head then
+    runs once over the joined features.  The logits are bitwise those of
+    the unsliced forward at one BLAS thread, and a slice's error is raised
+    only after every slice has finished.  `dtype` and `fused` are read off
+    the blocks, not stored.  Blocks are named stem, stage{i}.irb{j},
+    stage{i}.dcb{j}.mldc, stage{i}.dcb{j}.ffn, down{i} and head; parameter
+    names are <block>.<layer>.<tensor> (see `iter_params`).
     """
 
     def __init__(self, config: ModelConfig, blocks: List[Tuple[str, object]]):
@@ -216,9 +257,23 @@ class RapidNetModel:
 
     # -- execution ---------------------------------------------------------
 
+    def workers(self, n: int) -> int:
+        """Batch slices a forward of n samples runs as: 1 in train mode (BN's
+        batch statistics couple the samples) or without a pinnable OpenBLAS,
+        else one per usable CPU, at most n."""
+        if self.mode == "train" or blas.threads() is None:
+            return 1
+        return min(n, _usable_cpus())
+
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Logits of the (N, 3, H, W) batch `x`, N >= 1; a bad input raises a
+        rapidnet error before any BN buffer or tape changes."""
+        if not isinstance(x, np.ndarray):
+            raise ShapeError(f"model input must be a numpy array, got {type(x).__name__}")
         if x.ndim != 4:
             raise ShapeError(f"model input must be 4-D (N,3,H,W), got {x.shape}")
+        if x.shape[0] == 0:
+            raise ShapeError(f"model input holds no samples: {x.shape}")
         _, first = next(self._blocks[0][1].named_layers())
         if x.shape[1] != first.in_channels:
             raise ShapeError(f"model expects {first.in_channels}-channel input, "
@@ -226,13 +281,35 @@ class RapidNetModel:
         if x.shape[2] % 32 != 0 or x.shape[3] % 32 != 0:
             raise GeometryError(f"input resolution {x.shape[2]}x{x.shape[3]} "
                                 "must be divisible by 32")
-        tape = [] if self.mode == "train" else None
         self._tape = None  # a failed forward leaves no record behind
-        h = x
-        for _, blk in self._blocks:
-            h = blk.forward(h, tape)
-        self._tape = tape
-        return h
+        workers = self.workers(len(x))
+        if workers == 1:
+            tape = [] if self.mode == "train" else None
+            out = self._run(x, tape, self._blocks)
+            self._tape = tape
+            return out
+        # The head runs once over the whole batch: its matmuls have one row
+        # per sample, and numpy runs a one-row matmul as gemv, which rounds
+        # unlike the gemm of a larger slice.
+        body, head = self._blocks[:-1], self._blocks[-1:]
+        bounds = [len(x) * i // workers for i in range(workers + 1)]
+        futures = []
+        with blas.one_thread():
+            try:
+                pool = _slice_pool()
+                for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                    futures.append(pool.submit(self._run, x[lo:hi], None, body))
+                first = self._run(x[:bounds[1]], None, body)
+            finally:
+                wait(futures)  # no slice outlives the pin, nor the call that raised
+            features = np.concatenate([first] + [f.result() for f in futures])
+            return self._run(features, None, head)
+
+    @staticmethod
+    def _run(x: np.ndarray, tape: Optional[list], blocks) -> np.ndarray:
+        for _, blk in blocks:
+            x = blk.forward(x, tape)
+        return x
 
     def backward(self, grad_logits: np.ndarray) -> np.ndarray:
         """Propagate loss gradients back through the whole network.

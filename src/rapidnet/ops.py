@@ -382,7 +382,8 @@ def _dw_plan(shape: Tuple[int, ...], k: int, padding: int, dilation: int, dtype)
     outputs, tp/k times the MACs of the k taps it replaces, so the ow output
     columns split into as few tiles as keep tp at most 6k (T at least 1):
     nt = ceil(ow / T_max) tiles of T = ceil(ow / nt) columns.  A block holds
-    as many channels as fit in `_DW_BLOCK_BYTES` of tiled input (at least one).
+    as many channels as fit in `_DW_BLOCK_BYTES` of tiled input (at least
+    one; all of them at N = 0, where a channel holds no bytes).
     """
     n, c, h, w = shape
     e = (k - 1) * dilation
@@ -392,7 +393,7 @@ def _dw_plan(shape: Tuple[int, ...], k: int, padding: int, dilation: int, dtype)
     channel_bytes = (h + 2 * padding) * n * nt * (tile + e) * np.dtype(dtype).itemsize
     return _DwPlan(_tap_spans(k, dilation, 1, padding, h, oh),
                    _tap_spans(k, dilation, 1, padding, w, ow), nt, tile, tile + e,
-                   max(1, min(c, _DW_BLOCK_BYTES // channel_bytes)))
+                   max(1, min(c, _DW_BLOCK_BYTES // max(1, channel_bytes))))
 
 
 def _row_blocks(x: np.ndarray, padding: int, plan: _DwPlan,
@@ -472,7 +473,7 @@ def _dw_conv(x: np.ndarray, w: np.ndarray, padding: int, dilation: int) -> np.nd
                       out=t if pos else a)
             if pos:
                 a += t
-        out[:, lo:hi] = a.reshape(hi - lo, oh, n, -1)[..., :ow].transpose(2, 0, 1, 3)
+        out[:, lo:hi] = a.reshape(hi - lo, oh, n, plan.nt * plan.tile)[..., :ow].transpose(2, 0, 1, 3)
     return out
 
 

@@ -105,8 +105,15 @@ class TestBenchCase:
         assert all(t > 0 for t in result.round_times_ns)
         data = json.loads(result.to_json_line())
         assert list(data) == ["label", "shape", "macs", "round_times_ns",
-                              "trimmed_mean_ns", "median_ns", "min_ns", "threads"]
+                              "trimmed_mean_ns", "median_ns", "min_ns", "threads", "workers"]
         assert data["threads"] == blas_threads()
+        assert data["workers"] is None  # an op case runs no batch slices
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_model_workers_are_the_slices_that_ran(self, n):
+        result = bench_case("model", (n, 3, 32, 32), FAST, variant="micro")
+        assert result.workers == build_model(default_config("micro")).workers(n)
+        assert result.threads == blas_threads()  # restored after the timed forwards
 
     def test_threads_follow_openblas(self):
         # the count comes from OpenBLAS, so it follows the thread variable

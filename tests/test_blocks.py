@@ -171,6 +171,21 @@ class TestTape:
         grad = block.backward(rng.normal(out.shape), tape)
         assert tape == [] and grad.shape == x.shape
 
+    @pytest.mark.parametrize("factory", [
+        lambda: DownsampleBlock(4, 6),
+        lambda: DilatedConvBlock(MldcBlock(4), LkFfnBlock(4)),
+    ], ids=["down", "dcb"])
+    @pytest.mark.parametrize("tape", [False, True, (), {}])
+    def test_tape_that_is_not_a_list_is_refused_first(self, factory, tape, rng):
+        # a bool in the tape slot once ran BN in train mode before failing
+        block = factory()
+        parts = [block.mldc, block.ffn] if isinstance(block, DilatedConvBlock) else [block]
+        before = [buf.copy() for b in parts for _, buf in b.named_buffers()]
+        with pytest.raises(TypeError, match="tape"):
+            block.forward(rng.normal((2, 4, 6, 6)), tape)
+        after = [buf for b in parts for _, buf in b.named_buffers()]
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
     @pytest.mark.parametrize("tape", [None, []])
     def test_forward_sets_no_block_attribute(self, tape, rng):
         block = MldcBlock(4)

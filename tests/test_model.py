@@ -1,12 +1,20 @@
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from conftest import layers
+from rapidnet import blas
+from rapidnet import model as model_mod
 from rapidnet.analysis import count_macs, count_params
 from rapidnet.blocks import LkFfnBlock, MldcBlock
-from rapidnet.errors import ConfigError, GeometryError, StateError
+from rapidnet.errors import ConfigError, GeometryError, ShapeError, StateError
 from rapidnet.model import (
     ModelConfig,
     StageConfig,
@@ -222,6 +230,166 @@ class TestTape:
             model.forward(Rng(3).normal((2, 3, 32, 32)))
         with pytest.raises(StateError):
             model.backward(grad)
+
+
+class TestInputContract:
+    """Bad input raises a rapidnet error before any BN buffer or tape changes."""
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((0, 3, 32, 32), np.float32),
+        np.zeros((2, 3, 32, 32), np.float32).tolist(),
+        (np.zeros((3, 32, 32), np.float32),),
+    ], ids=["batch0", "list", "tuple"])
+    def test_refused_before_anything_changes(self, bad):
+        model, grad = TestTape.trained_forward()
+        buffers = [b.copy() for _, b in model.iter_buffers()]
+        with pytest.raises(ShapeError):
+            model.forward(bad)
+        assert all(np.array_equal(b, a) for b, (_, a) in zip(buffers, model.iter_buffers()))
+        assert model.backward(grad).shape == (2, 3, 32, 32)  # the tape survived
+
+    def test_batch0_in_eval_mode(self):
+        model = build_model(default_config("micro"))
+        with pytest.raises(ShapeError, match="no samples"):
+            model.forward(np.zeros((0, 3, 32, 32), np.float32))
+
+
+def unsliced(model, x, monkeypatch) -> np.ndarray:
+    """The forward as one slice, at one BLAS thread."""
+    with monkeypatch.context() as m, blas.one_thread():
+        m.setattr(model_mod, "_usable_cpus", lambda: 1)
+        assert model.workers(len(x)) == 1
+        return model.forward(x)
+
+
+class TestSlicedForward:
+    """An eval forward of N >= 2 runs one batch slice per CPU, BLAS at one thread."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # slice even on a one-CPU host
+        monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("variant, n, size", [
+        ("micro", 2, 32), ("micro", 3, 32), ("micro", 5, 32), ("ti", 2, 64)])
+    def test_bitwise_equal_to_unsliced(self, variant, n, size, two_cpus, monkeypatch):
+        model = build_model(default_config(variant))
+        x = Rng(n).normal((n, 3, size, size)).astype(np.float32)
+        before = blas.threads()
+        got = model.forward(x)
+        if before is not None:
+            assert model.workers(n) == 2
+        assert blas.threads() == before
+        assert np.array_equal(got, unsliced(model, x, monkeypatch))
+
+    def test_workers(self, two_cpus, monkeypatch):
+        model = build_model(default_config("micro"))
+        if blas.threads() is None:
+            assert model.workers(8) == 1
+            return
+        assert [model.workers(n) for n in (1, 2, 8)] == [1, 2, 2]
+        model.set_mode("train")  # BN's batch statistics couple the samples
+        assert model.workers(8) == 1
+        model.set_mode("eval")
+        monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 1)
+        assert model.workers(8) == 1
+        monkeypatch.setattr(model_mod, "_usable_cpus", lambda: 4)
+        assert [model.workers(n) for n in (3, 8)] == [3, 4]
+        monkeypatch.setattr(blas, "_functions", lambda: None)
+        assert model.workers(8) == 1
+
+    def test_without_blas_or_with_one_cpu_the_same_logits(self, two_cpus, monkeypatch):
+        model = build_model(default_config("micro"))
+        x = Rng(7).normal((4, 3, 32, 32)).astype(np.float32)
+        sliced = model.forward(x)
+        with monkeypatch.context() as m:
+            m.setattr(model_mod, "_usable_cpus", lambda: 1)
+            one_cpu = model.forward(x)
+        with monkeypatch.context() as m:
+            m.setattr(blas, "_functions", lambda: None)
+            assert model.workers(4) == 1 and blas.threads() is None
+            no_blas = model.forward(x)
+        assert np.array_equal(one_cpu, no_blas)
+        assert np.allclose(sliced, one_cpu, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_slice_error_raised_after_every_slice(self, failing, two_cpus, monkeypatch):
+        # the failing slice fails at once; the other one is slow
+        model = build_model(default_config("micro"))
+        name, block = model.named_blocks()[-2]
+        finished = []
+
+        class SliceError(Exception):
+            pass
+
+        def forward(h, tape=None):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "caller"):
+                raise SliceError(name)
+            time.sleep(0.3)
+            finished.append(len(h))
+            return type(block).forward(block, h, tape)
+
+        monkeypatch.setattr(block, "forward", forward)
+        before = blas.threads()
+        if before is None:
+            pytest.skip("numpy carries no OpenBLAS library: the forward is not sliced")
+        with pytest.raises(SliceError):
+            model.forward(Rng(8).normal((4, 3, 32, 32)).astype(np.float32))
+        assert finished == [2]  # the slow slice had finished
+        assert blas.threads() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_sliced_forward(self, two_cpus):
+        model = build_model(default_config("micro"))
+        x = Rng(9).normal((2, 3, 32, 32)).astype(np.float32)
+        ref = model.forward(x)  # starts the pool in the parent
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(model.forward(x), ref) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's forward did not finish within 60 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_concurrent_callers(self, two_cpus):
+        # more callers than cores, switching often: each gets its own logits,
+        # and the last one out restores the BLAS thread count
+        model = build_model(default_config("micro"))
+        xs = [Rng(10 + i).normal((3, 3, 32, 32)).astype(np.float32) for i in range(4)]
+        refs = [model.forward(x) for x in xs]
+        before = blas.threads()
+        results = {}
+
+        def caller(i):
+            results[i] = all(np.array_equal(model.forward(xs[i]), refs[i]) for _ in range(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(xs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: True for i in range(len(xs))}
+        assert blas.threads() == before
 
 
 def bn_state(model) -> list:

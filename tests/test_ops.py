@@ -160,6 +160,23 @@ class TestConv2d:
         x = rng.normal((1, 5, 4, 4))
         assert np.array_equal(conv2d(x, conv), x)
 
+    @pytest.mark.parametrize("k, kw, kind", [
+        (1, {}, "pointwise"),
+        (3, dict(padding=1), "im2col"),
+        (3, dict(padding=1, groups=6), "depthwise"),
+        (7, dict(padding=6, dilation=2, groups=6), "depthwise"),
+    ])
+    def test_batch_zero_gives_empty_output(self, k, kw, kind, rng):
+        # every kind agrees at N = 0, forward and backward
+        conv = make_conv(6, 6, k, rng=rng, **kw)
+        assert ops._conv_kind(conv) == kind
+        x = np.zeros((0, 6, 8, 8), dtype=np.float32)
+        out = conv2d(x, conv)
+        assert out.shape == (0, 6) + out_shape(8, 8, conv) == conv2d_naive(x, conv).shape
+        r = conv2d_backward(x, conv, out)
+        assert r.grad_input.shape == x.shape
+        assert not np.any(r.grad_params["weight"])
+
     def test_channel_mismatch(self, rng):
         conv = make_conv(3, 8, 3, rng=rng)
         with pytest.raises(ShapeError):
