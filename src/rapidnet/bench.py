@@ -21,11 +21,11 @@ from .analysis import block_conv_macs, conv_macs, count_macs
 from .blas import threads as blas_threads
 from .blocks import MldcBlock
 from .model import build_model, default_config
-from .ops import Conv2dLayer, conv2d
+from .ops import Conv2dLayer, conv2d, gelu
 from .reparam import reparameterize_model
 from .tensor import Rng
 
-BENCH_CASES = ("dilated3x3", "dense_kxk", "depthwise", "mldc_block", "pw_mixer", "model")
+BENCH_CASES = ("dilated3x3", "dense_kxk", "depthwise", "mldc_block", "pw_mixer", "model", "gelu")
 
 
 @dataclass
@@ -53,6 +53,7 @@ class BenchResult:
     min_ns: int
     threads: Optional[int]
     workers: Optional[int]  # batch slices the "model" case's forward ran; None for op cases
+    melems_per_s: Optional[float]  # "gelu" elements per second (millions) at the median; else None
 
     def to_json_line(self) -> str:
         return json.dumps(asdict(self))
@@ -95,7 +96,8 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
     dilation), "dense_kxk" (dense k x k conv), "depthwise" (k x k depthwise
     conv at the given dilation, C >= 2), "mldc_block", "pw_mixer"
     (MLDC block with a pointwise mixer), "model" (full variant forward,
-    optionally reparameterized).  The result's `threads` is what OpenBLAS
+    optionally reparameterized), "gelu" (f32 `gelu`, which has no MACs and
+    reports `melems_per_s` instead).  The result's `threads` is what OpenBLAS
     reports outside the timed calls.  A "model" forward of N >= 2 runs as
     `workers` batch slices, one per usable CPU, with OpenBLAS pinned to one
     thread meanwhile (see `RapidNetModel.forward`); the op cases leave
@@ -135,6 +137,10 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
         macs = block_conv_macs(block, h, w) * n
         fn = lambda: block.forward(x)
         label = case
+    elif case == "gelu":
+        macs = 0
+        fn = lambda: gelu(x)
+        label = "gelu"
     else:
         if c != 3 or h != w or h % 32 != 0:
             raise ValueError(f"model case needs shape N,3,R,R with R divisible by 32, got {shape}")
@@ -148,7 +154,8 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
 
     rounds = _time_case(fn, protocol)
     mean, median, tmin = trimmed_stats(rounds, protocol.trim)
+    melems_per_s = x.size * protocol.iters_per_round / median * 1e3 if case == "gelu" else None
     return BenchResult(label=label, shape=[n, c, h, w], macs=macs,
                        round_times_ns=rounds, trimmed_mean_ns=mean,
                        median_ns=median, min_ns=int(tmin), threads=blas_threads(),
-                       workers=workers)
+                       workers=workers, melems_per_s=melems_per_s)

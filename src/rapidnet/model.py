@@ -266,10 +266,12 @@ class RapidNetModel:
         return min(n, _usable_cpus())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits of the (N, 3, H, W) batch `x`, N >= 1; a bad input raises a
-        rapidnet error before any BN buffer or tape changes."""
+        """Logits of the (N, 3, H, W) batch `x` of the model's dtype, N >= 1; a
+        bad input raises a rapidnet error before any BN buffer or tape changes."""
         if not isinstance(x, np.ndarray):
             raise ShapeError(f"model input must be a numpy array, got {type(x).__name__}")
+        if x.dtype != self.dtype:
+            raise ShapeError(f"model input must be {self.dtype}, got {x.dtype}")
         if x.ndim != 4:
             raise ShapeError(f"model input must be 4-D (N,3,H,W), got {x.shape}")
         if x.shape[0] == 0:
@@ -278,9 +280,9 @@ class RapidNetModel:
         if x.shape[1] != first.in_channels:
             raise ShapeError(f"model expects {first.in_channels}-channel input, "
                              f"got {x.shape[1]}")
-        if x.shape[2] % 32 != 0 or x.shape[3] % 32 != 0:
+        if min(x.shape[2:]) < 32 or x.shape[2] % 32 != 0 or x.shape[3] % 32 != 0:
             raise GeometryError(f"input resolution {x.shape[2]}x{x.shape[3]} "
-                                "must be divisible by 32")
+                                "must be a positive multiple of 32")
         self._tape = None  # a failed forward leaves no record behind
         workers = self.workers(len(x))
         if workers == 1:

@@ -104,10 +104,17 @@ class TestBenchCase:
         assert result.min_ns <= result.median_ns
         assert all(t > 0 for t in result.round_times_ns)
         data = json.loads(result.to_json_line())
-        assert list(data) == ["label", "shape", "macs", "round_times_ns",
-                              "trimmed_mean_ns", "median_ns", "min_ns", "threads", "workers"]
+        assert list(data) == ["label", "shape", "macs", "round_times_ns", "trimmed_mean_ns",
+                              "median_ns", "min_ns", "threads", "workers", "melems_per_s"]
         assert data["threads"] == blas_threads()
         assert data["workers"] is None  # an op case runs no batch slices
+        assert data["melems_per_s"] is None  # a conv case counts MACs instead
+
+    def test_gelu_reports_elements_per_second(self):
+        proto = BenchProtocol(rounds=5, iters_per_round=3, trim=1, warmup=1)
+        result = bench_case("gelu", (2, 4, 8, 8), proto)
+        assert (result.label, result.macs, result.workers) == ("gelu", 0, None)
+        assert result.melems_per_s == 2 * 4 * 8 * 8 * 3 / result.median_ns * 1e3
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_model_workers_are_the_slices_that_ran(self, n):

@@ -8,6 +8,8 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import layers
 from rapidnet import blas
@@ -252,6 +254,59 @@ class TestInputContract:
         model = build_model(default_config("micro"))
         with pytest.raises(ShapeError, match="no samples"):
             model.forward(np.zeros((0, 3, 32, 32), np.float32))
+
+    @pytest.fixture(scope="class")
+    def micro(self):
+        """An eval and a train micro model, and each mode's canonical logits by N.
+
+        Train-mode logits take BN's batch statistics, so the running ones
+        the train model's forwards move do not change them."""
+        models = {mode: build_model(default_config("micro")) for mode in ("eval", "train")}
+        models["train"].set_mode("train")
+        base = Rng(4).normal((2, 3, 32, 32)).astype(np.float32)
+        logits = {(mode, n): m.forward(base[:n].copy()) for mode, m in models.items() for n in (1, 2)}
+        return models, base, logits
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mode=st.sampled_from(["eval", "train"]),
+           dtype=st.sampled_from([np.float16, np.float32, np.float64, np.int32, np.bool_,
+                                  np.complex64]),
+           n=st.sampled_from([0, 1, 2]), h=st.sampled_from([0, 20, 32]),
+           w=st.sampled_from([0, 20, 32]), layout=st.sampled_from(["C", "F", "strided"]),
+           container=st.sampled_from([None, list, tuple]))
+    @example(mode="train", dtype=np.float32, n=1, h=0, w=32, layout="C", container=None)
+    @example(mode="train", dtype=np.float64, n=2, h=32, w=32, layout="C", container=None)
+    @example(mode="eval", dtype=np.float32, n=2, h=32, w=32, layout="F", container=None)
+    @example(mode="eval", dtype=np.float32, n=2, h=32, w=32, layout="strided", container=None)
+    def test_canonical_logits_or_refused_untouched(self, micro, mode, dtype, n, h, w, layout,
+                                                   container):
+        models, base, logits = micro
+        model = models[mode]
+        values = np.resize(base, (n, 3, h, w)).astype(dtype)
+        if layout == "F":
+            x = np.asfortranarray(values)
+        elif layout == "strided":
+            x = np.zeros((n, 3, h, 2 * w), dtype)[..., ::2]
+            x[...] = values
+        else:
+            x = values
+        if container is not None:
+            x = x.tolist() if container is list else tuple(x)
+        valid = container is None and dtype == np.float32 and n >= 1 and h == w == 32
+        if mode == "train":
+            model.forward(base)  # a tape the refused call must leave in place
+        buffers = [b.copy() for _, b in model.iter_buffers()]
+        try:
+            got = model.forward(x)
+        except (ShapeError, GeometryError):
+            assert not valid
+            assert all(np.array_equal(b, a) for b, (_, a) in zip(buffers, model.iter_buffers()))
+            if mode == "train":
+                assert model.backward(np.ones_like(logits[mode, 2])).shape == base.shape
+            return
+        assert valid
+        want = logits[mode, n]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def unsliced(model, x, monkeypatch) -> np.ndarray:

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from conftest import rel_err
 from rapidnet import ops
@@ -788,18 +789,45 @@ def same_bits(a, b):
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 4.0, -4.0, 5.657, -5.657, 40.0, -40.0]
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
 class TestGeluF32:
-    """f32 GeLU uses a rational erf; f64 keeps scipy's erf."""
+    """f32 GeLU uses the tanh form of a degree-6 Phi fit; f64 keeps scipy's erf."""
 
     @pytest.fixture(scope="class")
     def grid(self):
         x = np.linspace(-30.0, 30.0, 1_200_001, dtype=np.float32)
         return np.concatenate([x, np.array([0.0, -0.0], dtype=np.float32)])
 
-    def test_erf_within_bound_of_f64_erf(self, grid):
-        t = grid.copy()
-        ops._erf_f32(t, np.empty_like(t), np.empty_like(t))
-        assert np.max(np.abs(t - erf(grid.astype(np.float64)))) <= 5e-7
+    @pytest.fixture(scope="class")
+    def extremes(self):
+        """+-10^k up to the f32 maximum, and subnormals."""
+        tiny = np.finfo(np.float32).smallest_subnormal
+        mags = np.array([10.0 ** k for k in range(-45, 39)] + [F32_MAX], dtype=np.float32)
+        mags = np.concatenate([mags, np.array([tiny, 7 * tiny, 1e-40, 1.1e-38], dtype=np.float32)])
+        return np.concatenate([mags, -mags])
+
+    def test_phi_within_bound_of_f64_ndtr(self, grid, extremes):
+        # 2.5e-7 on Phi restates the old 5e-7 bound on erf
+        for x in (grid, extremes):
+            assert np.max(np.abs(ops._normal_cdf(x) - ndtr(x.astype(np.float64)))) <= 2.5e-7
+
+    def test_phi_is_one_past_the_fit_range_and_monotone(self, grid):
+        # no clamp: tanh rounds to 1 from 5.5 up to the f32 maximum
+        x = np.concatenate([np.linspace(5.5, 1e4, 200_001, dtype=np.float32),
+                            np.geomspace(5.5, F32_MAX, 10_001).astype(np.float32)])
+        assert np.all(ops._normal_cdf(x) == 1.0)
+        phi = ops._normal_cdf(grid[:-2])  # the sorted linspace part
+        assert np.all(np.diff(phi) >= 0)
+
+    def test_no_runtime_warning(self, grid, extremes):
+        # x^2 and the polynomial overflow to inf for |x| past about 6e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (grid, extremes):
+                gelu(x)
+                gelu_backward(x, np.ones_like(x))
 
     def test_gelu_and_derivative_within_bound_of_f64(self, grid):
         x64 = grid.astype(np.float64)
