@@ -21,12 +21,18 @@ it has no plan of its own and is never a model entry.
 Blocks hold no state but their layers.  `forward(x, tape=None)` runs the
 block; the tape, a list the caller owns, is the only way train/eval reaches
 a layer.  Without one the forward is eval mode and pure; with one, each BN
-uses batch statistics and updates its running estimates, and each stage
-pushes its activations (each parallel group its pre-GeLU sum).
-`backward(grad_out, tape)` pops them in reverse, accumulates parameter
-gradients and returns the gradient w.r.t. the block input.  Blocks whose BN
-layers have been folded away (see `reparam`) carry `None` in the BN slots
-and skip normalization, and a fused CPE stage carries `skip=False`.
+uses batch statistics and updates its running estimates, and the tape gets
+exactly what backward reads.  Each stage pushes (x, y, stats, z, cdf): its
+input x for the conv's (or pooling's) gradient; with a BN, the BN input y
+and its `BatchStats` (batch mean, inv_std = 1 / sqrt(var + eps)); with a
+GeLU, the GeLU input z and Phi(z).  Slots a stage has no layer for hold
+None.  A parallel group with a GeLU pushes its pre-GeLU sum and that sum's
+Phi; one without pushes nothing.  `backward(grad_out, tape)` pops them in
+reverse, accumulates parameter gradients and returns the gradient w.r.t.
+the block input.  The `DISCARD` tape runs train mode and records nothing,
+for a forward that no backward follows.  Blocks whose BN layers have been
+folded away (see `reparam`) carry `None` in the BN slots and skip
+normalization, and a fused CPE stage carries `skip=False`.
 """
 
 from __future__ import annotations
@@ -93,6 +99,24 @@ def _accumulate(layer, r) -> None:
         p.accumulate(r.grad_params[name])
 
 
+class _Discard(list):
+    """A tape that keeps nothing: see `DISCARD`."""
+
+    def append(self, entry) -> None:
+        pass
+
+
+# The tape of a train-mode forward that no backward follows (BN
+# recalibration): each BN takes batch statistics and moves its running
+# estimates, and nothing is recorded, so every activation is freed as the
+# forward moves on.
+DISCARD = _Discard()
+
+
+def _keeps(tape) -> bool:
+    return tape is not None and tape is not DISCARD
+
+
 def _stage_forward(st: Stage, x, tape):
     if st.conv is None:
         y = global_avg_pool(x)
@@ -102,18 +126,27 @@ def _stage_forward(st: Stage, x, tape):
         y = conv2d(x, st.conv)
     if st.skip:
         y = add(x, y)
-    z = y if st.bn is None else batchnorm_forward(y, st.bn, tape is not None)
-    if tape is not None:
-        tape.append((x, y, z))
-    return gelu(z) if st.act else z
+    keep = _keeps(tape)
+    out, stats, z, cdf = y, None, None, None
+    if st.bn is not None:
+        out = batchnorm_forward(y, st.bn, tape is not None, keep_stats=keep)
+        if keep:
+            out, stats = out
+    if st.act:
+        z, out = out, gelu(out, keep_cdf=keep)
+        if keep:
+            out, cdf = out
+    if keep:
+        tape.append((x, None if stats is None else y, stats, z, cdf))
+    return out
 
 
 def _stage_backward(st: Stage, grad, tape):
-    x, y, z = tape.pop()
+    x, y, stats, z, cdf = tape.pop()
     if st.act:
-        grad = gelu_backward(z, grad)
+        grad = gelu_backward(z, grad, cdf)
     if st.bn is not None:
-        r = batchnorm_backward(y, st.bn, grad)
+        r = batchnorm_backward(y, st.bn, grad, stats)
         _accumulate(st.bn, r)
         grad = r.grad_input
     if st.conv is None:
@@ -128,15 +161,19 @@ def _stage_backward(st: Stage, grad, tape):
 
 def _parallel_forward(group: Parallel, x, tape):
     pre = reduce(add, [_stage_forward(st, x, tape) for st in group.stages])
-    if tape is not None:
-        tape.append(pre)
-    return gelu(pre) if group.act else pre
+    if not group.act:
+        return pre
+    if not _keeps(tape):
+        return gelu(pre)
+    out, cdf = gelu(pre, keep_cdf=True)
+    tape.append((pre, cdf))
+    return out
 
 
 def _parallel_backward(group: Parallel, grad, tape):
-    pre = tape.pop()
     if group.act:
-        grad = gelu_backward(pre, grad)
+        pre, cdf = tape.pop()
+        grad = gelu_backward(pre, grad, cdf)
     return reduce(np.add, [_stage_backward(st, grad, tape) for st in reversed(group.stages)])
 
 

@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, bench, reparam, trainer, weights_io
-from .blocks import MIXER_MODES
+from .blocks import DISCARD, MIXER_MODES
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -222,7 +222,7 @@ def _verify_gradients() -> List[tuple]:
     dcb = DilatedConvBlock(mldc, ffn)
     x = rng.normal((1, 2, 8, 8), dtype=np.float64)
     gy = rng.normal(x.shape, dtype=np.float64)
-    num = fd_grad(lambda t: dcb.forward(t, []), x.copy(), gy)
+    num = fd_grad(lambda t: dcb.forward(t, DISCARD), x.copy(), gy)
     tape: list = []
     dcb.forward(x, tape)
     err = rel_err(dcb.backward(gy, tape), num)

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import blas
 from .blocks import (
+    DISCARD,
     MIXER_MODES,
     DownsampleBlock,
     HeadBlock,
@@ -189,8 +190,8 @@ class RapidNetModel:
 
     `mode` ("train" or "eval") is stored only here.  An eval-mode forward is
     pure.  A train-mode forward updates BN running statistics and records
-    all blocks' activations on one tape, which `backward` consumes and
-    `set_mode` drops.  An eval-mode forward of N >= 2 samples splits the
+    on one tape what every block's backward reads, which `backward` consumes
+    and `set_mode` drops.  An eval-mode forward of N >= 2 samples splits the
     batch into `workers(N)` contiguous slices, one per usable CPU.  Slice 0
     runs on the caller's thread and the rest on a shared thread pool, all
     with OpenBLAS pinned to one thread (`blas.one_thread`); the head then
@@ -265,9 +266,13 @@ class RapidNetModel:
             return 1
         return min(n, _usable_cpus())
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, record: bool = True) -> np.ndarray:
         """Logits of the (N, 3, H, W) batch `x` of the model's dtype, N >= 1; a
-        bad input raises a rapidnet error before any BN buffer or tape changes."""
+        bad input raises a rapidnet error before any BN buffer or tape changes.
+
+        In train mode, `record=False` runs BN on batch statistics and moves
+        its running estimates but records nothing (`blocks.DISCARD`), for a
+        pass that no `backward` follows."""
         if not isinstance(x, np.ndarray):
             raise ShapeError(f"model input must be a numpy array, got {type(x).__name__}")
         if x.dtype != self.dtype:
@@ -286,9 +291,9 @@ class RapidNetModel:
         self._tape = None  # a failed forward leaves no record behind
         workers = self.workers(len(x))
         if workers == 1:
-            tape = [] if self.mode == "train" else None
+            tape = None if self.mode == "eval" else [] if record else DISCARD
             out = self._run(x, tape, self._blocks)
-            self._tape = tape
+            self._tape = None if tape is DISCARD else tape
             return out
         # The head runs once over the whole batch: its matmuls have one row
         # per sample, and numpy runs a one-row matmul as gemv, which rounds

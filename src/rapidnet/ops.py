@@ -19,17 +19,20 @@ reads at least one input pixel), each copied from its in-bounds output
 rectangle of the unpadded input with its border strips zeroed, and it is
 multiplied by the matching weight sub-block.  `conv2d_naive` is an
 explicit-loop reference used as the oracle for all three in tests.  Backward
-functions recompute what they need from (input, layer, grad_out); there is
-no autograd graph.
+functions take what they need from (input, layer, grad_out); there is no
+autograd graph.
 
 Train-mode batch norm takes its statistics once per call from the centred
 input d = x - mean, and its backward is the closed form
-grad_x = k1*g + k2*d + k3 with per-channel k1, k2, k3.
+grad_x = k1*g + k2*d + k3 with per-channel k1, k2, k3.  The forward can
+return the batch mean and inv_std (`keep_stats`) for the backward to read.
 
 GeLU is x * Phi(x) with the exact normal CDF Phi.  f64 evaluates Phi with
 scipy's erf.  f32 uses Phi(x) = (1 + tanh(x * P(x^2))) / 2 with P a degree-6
 minimax fit: within 2.5e-7 of the f64 Phi, about 1,900x tighter than the
 degree-1 tanh approximation (1.8e-4), in ~17 passes over cache-sized blocks.
+The forward can return Phi (`keep_cdf`) for the backward to read, whose
+remaining seven passes run over the same blocks.
 """
 
 from __future__ import annotations
@@ -665,41 +668,64 @@ def _batch_stats(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mean, d, var
 
 
-def batchnorm_forward(x: np.ndarray, bn: BatchNorm2d, train: bool = False) -> np.ndarray:
+class BatchStats(NamedTuple):
+    """A train-mode BN's batch statistics, as `batchnorm_backward` reads them."""
+
+    mean: np.ndarray     # per channel, over (N, H, W)
+    inv_std: np.ndarray  # 1 / sqrt(biased var + eps)
+
+
+def batchnorm_forward(x: np.ndarray, bn: BatchNorm2d, train: bool = False, *,
+                      keep_stats: bool = False):
     """train: gamma * (x - mean) / sqrt(var + eps) + beta with batch statistics,
     computed in place on the centred copy, moving the running estimates by
-    `bn.momentum`; eval: x * scale + shift from the running estimates."""
+    `bn.momentum`; eval: x * scale + shift from the running estimates.
+
+    With `keep_stats` (train only) the result is (y, BatchStats), so that
+    `batchnorm_backward` reads the statistics instead of taking them again.
+    """
     _check_bn_input(x, bn)
+    if keep_stats and not train:
+        raise ValueError("keep_stats needs train=True: eval mode takes no batch statistics")
     if train:
         mean, d, var = _batch_stats(x)
         m = bn.momentum
         bn.running_mean = ((1.0 - m) * bn.running_mean + m * mean).astype(x.dtype)
         bn.running_var = ((1.0 - m) * bn.running_var + m * var).astype(x.dtype)
-        d *= (bn.gamma.value / np.sqrt(var + bn.eps))[:, None]
+        std = np.sqrt(var + bn.eps)
+        d *= (bn.gamma.value / std)[:, None]
         d += bn.beta.value[:, None]
-        return d.reshape(x.shape)
+        y = d.reshape(x.shape)
+        return (y, BatchStats(mean, 1.0 / std)) if keep_stats else y
     inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
     scale = (bn.gamma.value * inv_std)[None, :, None, None]
     shift = (bn.beta.value - bn.gamma.value * bn.running_mean * inv_std)[None, :, None, None]
     return x * scale + shift
 
 
-def batchnorm_backward(x: np.ndarray, bn: BatchNorm2d, grad_out: np.ndarray) -> GradResult:
+def batchnorm_backward(x: np.ndarray, bn: BatchNorm2d, grad_out: np.ndarray,
+                       stats: Optional[BatchStats] = None) -> GradResult:
     """Train-mode BN gradients w.r.t. input, gamma, beta, in closed form.
 
     With d = x - mean, m = N*H*W and per-channel sums over (N, H, W)
     (Ioffe & Szegedy, arXiv 1502.03167): grad_beta = sum(g), grad_gamma =
     inv_std * sum(g*d), and grad_x = k1*g + k2*d + k3 with k1 = gamma*inv_std,
-    k2 = -k1 * inv_std^2 * sum(g*d) / m and k3 = -k1 * sum(g) / m.  The
-    statistics are recomputed from x once; grad_x is built in place on d.
+    k2 = -k1 * inv_std^2 * sum(g*d) / m and k3 = -k1 * sum(g) / m.  `stats`
+    are the forward's (`keep_stats`); without them the statistics are taken
+    from x again, with the same bits.  grad_x is built in place on d.
     """
     _check_bn_input(x, bn)
     if grad_out.shape != x.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    _, d, var = _batch_stats(x)
+    if stats is None:
+        _, d, var = _batch_stats(x)
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+    else:
+        n, c, h, w = x.shape
+        d = x.reshape(n, c, h * w) - stats.mean[:, None]
+        inv_std = stats.inv_std
     m = d.size // d.shape[1]
     g = grad_out.reshape(d.shape)
-    inv_std = 1.0 / np.sqrt(var + bn.eps)
     sum_g = g.sum(axis=(0, 2))
     sum_gd = np.einsum("nci,nci->c", g, d)
     k1 = bn.gamma.value * inv_std
@@ -722,24 +748,33 @@ def _horner(coefs: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
     out += coefs[-1]
 
 
-def _normal_cdf(x: np.ndarray, *, times_x: bool = False) -> np.ndarray:
-    """Standard normal CDF Phi(x), or x * Phi(x) with `times_x`, as a new array.
+def _as_float(x) -> np.ndarray:
+    """x as an array that GeLU keeps the dtype of: f32 and f64 as they are,
+    every other dtype (f16, integers, bool) converted to f64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
 
-    f32 takes `_PHI_F32_POLY` block by block in the result array, times x
-    while the block is in cache, so the result is the only full-size array.
-    x^2 and P(x^2) overflow to inf past |x| ~ 6e3, where tanh is +-1 anyway.
-    Every other dtype takes scipy's erf.
+
+def _normal_cdf(x: np.ndarray, *, times_x: bool = False, keep_cdf: bool = False):
+    """Standard normal CDF Phi(x) of an f32 or f64 array, as a new array; with
+    `times_x`, x * Phi(x) instead, or (x * Phi(x), Phi(x)) with `keep_cdf` too.
+
+    f32 takes `_PHI_F32_POLY` block by block in the Phi array, times x while
+    the block is in cache.  x^2 and P(x^2) overflow to inf past |x| ~ 6e3,
+    where tanh is +-1 anyway.  f64 takes scipy's erf.
     """
     if np.result_type(x) != np.float32:
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        return cdf * x if times_x else cdf
-    out = np.empty(np.shape(x), dtype=np.float32)
-    flat_x, flat_out = np.reshape(x, -1), out.reshape(-1)
+        y = cdf * x if times_x else cdf
+        return (y, cdf) if keep_cdf else y
+    cdf = np.empty(np.shape(x), dtype=np.float32)
+    y = np.empty_like(cdf) if times_x and keep_cdf else cdf
+    flat_x, flat_cdf, flat_y = np.reshape(x, -1), cdf.reshape(-1), y.reshape(-1)
     s = np.empty(min(flat_x.size, _ERF_F32_BLOCK), dtype=np.float32)
     with np.errstate(over="ignore"):  # per thread, so batch slices may run this at once
         for lo in range(0, flat_x.size, _ERF_F32_BLOCK):
             xb = flat_x[lo:lo + _ERF_F32_BLOCK]
-            t, sb = flat_out[lo:lo + xb.size], s[:xb.size]
+            t, sb = flat_cdf[lo:lo + xb.size], s[:xb.size]
             np.multiply(xb, xb, out=sb)
             _horner(_PHI_F32_POLY, sb, t)
             t *= xb
@@ -747,35 +782,54 @@ def _normal_cdf(x: np.ndarray, *, times_x: bool = False) -> np.ndarray:
             t *= 0.5
             t += 0.5
             if times_x:
-                t *= xb
-    return out
+                np.multiply(t, xb, out=flat_y[lo:lo + xb.size])
+    return (y, cdf) if keep_cdf else y
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, *, keep_cdf: bool = False):
     """GeLU x * Phi(x) with the exact normal CDF (not the tanh approximation).
 
     f64 uses scipy's erf.  f32 uses the degree-6 tanh form of Phi, within
-    2.5e-7 of the f64 Phi, so |gelu - f64 gelu| <= 1e-6 * max(1, |x|).  The
-    dtype is kept and `x` is not modified.
+    2.5e-7 of the f64 Phi, so |gelu - f64 gelu| <= 1e-6 * max(1, |x|).  f32
+    and f64 keep their dtype; every other dtype runs, and returns, in f64.
+    `x` is not modified.  With `keep_cdf` the result is (gelu, Phi(x)), so
+    that `gelu_backward` reads Phi instead of taking it again.
     """
-    return _normal_cdf(x, times_x=True)
+    return _normal_cdf(_as_float(x), times_x=True, keep_cdf=keep_cdf)
 
 
-def gelu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), chained with grad_out."""
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} != input shape {x.shape}")
-    # grad_out * (cdf + x * pdf) with the same roundings, built in two arrays
-    cdf = _normal_cdf(x)
-    pdf = np.multiply(x, -0.5)
-    with np.errstate(over="ignore"):  # x^2 = inf gives pdf = 0 exactly
-        pdf *= x
-    np.exp(pdf, out=pdf)
-    pdf *= x.dtype.type(_INV_SQRT_2PI)
-    pdf *= x
-    cdf += pdf
-    cdf *= grad_out
-    return cdf
+def gelu_backward(x: np.ndarray, grad_out: np.ndarray,
+                  cdf: Optional[np.ndarray] = None) -> np.ndarray:
+    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x), chained with grad_out.
+
+    `cdf` is Phi(x) as `gelu(x, keep_cdf=True)` returned it; without it Phi
+    is taken again, with the same bits.  grad_out * (Phi + x * phi) is built
+    one `_ERF_F32_BLOCK` block at a time in the result, with the roundings of
+    the whole-array formula, so each block's seven passes run in cache.  The
+    dtype follows `gelu`'s rule.
+    """
+    x = _as_float(x)
+    for name, a in (("grad_out", grad_out), ("cdf", cdf)):
+        if a is not None and a.shape != x.shape:
+            raise ShapeError(f"{name} shape {a.shape} != input shape {x.shape}")
+    if cdf is None:
+        cdf = _normal_cdf(x)
+    out = np.empty(x.shape, dtype=x.dtype)
+    c = x.dtype.type(_INV_SQRT_2PI)
+    flat_x, flat_cdf, flat_g = (np.reshape(a, -1) for a in (x, cdf, grad_out))
+    flat_out = out.reshape(-1)
+    with np.errstate(over="ignore"):  # x^2 = inf gives phi = 0 exactly
+        for lo in range(0, flat_out.size, _ERF_F32_BLOCK):
+            xb = flat_x[lo:lo + _ERF_F32_BLOCK]
+            t = flat_out[lo:lo + xb.size]
+            np.multiply(xb, -0.5, out=t)
+            t *= xb
+            np.exp(t, out=t)
+            t *= c
+            t *= xb
+            t += flat_cdf[lo:lo + xb.size]
+            t *= flat_g[lo:lo + xb.size]
+    return out
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -186,8 +186,11 @@ def recalibrate_bn(model: RapidNetModel, x: np.ndarray) -> None:
 
     The batch should be large enough that every BN layer sees several
     samples per channel (N * H * W at the deepest stage), or the variance
-    estimates degenerate and eval-mode scales blow up.  Restoring the mode
-    drops the pass's tape, so no activations outlive the call.
+    estimates degenerate and eval-mode scales blow up.  The pass records
+    nothing (`forward(x, record=False)`), so each activation is freed as the
+    forward moves on, and restoring the mode drops any tape recorded
+    before.  A bad `x` raises the forward's error with the BN buffers, the
+    class-wide momentum and the mode as they were.
     """
     bns = list(model.iter_batchnorms())
     for bn in bns:
@@ -195,7 +198,7 @@ def recalibrate_bn(model: RapidNetModel, x: np.ndarray) -> None:
     prev_mode = model.mode
     model.set_mode("train")
     try:
-        model.forward(x)
+        model.forward(x, record=False)
     finally:
         model.set_mode(prev_mode)
         for bn in bns:

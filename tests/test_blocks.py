@@ -3,6 +3,7 @@ import pytest
 
 from conftest import layers
 from rapidnet.blocks import (
+    DISCARD,
     DilatedConvBlock,
     DownsampleBlock,
     HeadBlock,
@@ -11,8 +12,10 @@ from rapidnet.blocks import (
     MldcBlock,
     Parallel,
     StemBlock,
+    stages,
 )
 from rapidnet.errors import GeometryError, ShapeError
+from rapidnet.tensor import Rng
 
 
 class TestStem:
@@ -170,6 +173,62 @@ class TestTape:
         assert tape
         grad = block.backward(rng.normal(out.shape), tape)
         assert tape == [] and grad.shape == x.shape
+
+    @pytest.mark.parametrize("factory, shape", [
+        (lambda r: StemBlock(3, 4, rng=r), (2, 3, 8, 8)),
+        (lambda r: InvertedResidualBlock(4, rng=r), (2, 4, 4, 4)),
+        (lambda r: MldcBlock(4, rng=r), (2, 4, 6, 6)),
+        (lambda r: MldcBlock(4, gelu_per_branch=True, rng=r), (2, 4, 6, 6)),
+        (lambda r: LkFfnBlock(4, rng=r), (2, 4, 6, 6)),
+        (lambda r: HeadBlock(4, 3, hidden=5, rng=r), (2, 4, 3, 3)),
+    ], ids=["stem", "irb", "mldc", "mldc_gelu_per_branch", "lkffn", "head"])
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_tape_holds_what_backward_reads(self, factory, shape, dt):
+        # each stage keeps its input, its BN input and statistics when it has
+        # a BN, its GeLU input and Phi when it has a GeLU; a group with a
+        # GeLU keeps its sum and Phi.  Backward from that tape is bitwise the
+        # backward that takes the statistics and Phi again.
+        rng = Rng(5)
+        block = factory(rng)
+        tape = []
+        out = block.forward(rng.normal(shape, dtype=dt), tape)
+        g = rng.normal(out.shape, dtype=dt)
+        want = []
+        for item in block.plan:
+            for st in stages([item]):
+                want.append((True, st.bn is not None, st.bn is not None, st.act, st.act))
+            if isinstance(item, Parallel) and item.act:
+                want.append((True, True))
+        assert [tuple(v is not None for v in e) for e in tape] == want
+        again = [(e[0], None) if len(e) == 2 else (e[0], e[1], None, e[3], None) for e in tape]
+
+        def grads(t):
+            for _, p in block.named_params():
+                p.zero_grad()
+            gx = block.backward(g, t)
+            return [gx] + [p.grad.copy() for _, p in block.named_params()]
+
+        kept, recomputed = grads(tape), grads(again)
+        assert tape == [] and again == []
+        assert all(np.array_equal(a, b) for a, b in zip(kept, recomputed))
+
+    @pytest.mark.parametrize("factory, shape", [
+        (lambda: StemBlock(3, 4, rng=Rng(2)), (2, 3, 8, 8)),
+        (lambda: MldcBlock(4, rng=Rng(2)), (2, 4, 6, 6)),
+        (lambda: DilatedConvBlock(MldcBlock(4, rng=Rng(2)), LkFfnBlock(4, rng=Rng(3))),
+         (2, 4, 6, 6)),
+    ], ids=["stem", "mldc", "dcb"])
+    def test_discard_runs_train_mode_and_records_nothing(self, factory, shape, rng):
+        x = rng.normal(shape)
+        recorded, discarded = factory(), factory()
+        want = recorded.forward(x, [])
+        assert np.array_equal(discarded.forward(x, DISCARD), want)
+        assert DISCARD == []
+        parts = (lambda b: [b.mldc, b.ffn] if isinstance(b, DilatedConvBlock) else [b])
+        bufs = [[buf for p in parts(b) for _, buf in p.named_buffers()]
+                for b in (recorded, discarded)]
+        assert all(np.array_equal(a, b) for a, b in zip(*bufs))
+        assert not np.array_equal(bufs[0][0], np.zeros_like(bufs[0][0]))  # train-mode BN ran
 
     @pytest.mark.parametrize("factory", [
         lambda: DownsampleBlock(4, 6),

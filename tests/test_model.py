@@ -221,6 +221,20 @@ class TestTape:
         with pytest.raises(StateError):
             model.backward(grad)
 
+    def test_unrecorded_train_forward(self):
+        # record=False: batch statistics and running estimates as a recorded
+        # forward takes them, and no tape, not even the last one
+        model, grad = self.trained_forward()
+        twin = build_model(default_config("micro"))
+        twin.set_mode("train")
+        x = Rng(3).normal((2, 3, 32, 32))
+        twin.forward(x)
+        assert np.array_equal(model.forward(x, record=False), twin.forward(x))
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in
+                   zip(model.iter_buffers(), twin.iter_buffers()))
+        with pytest.raises(StateError):
+            model.backward(grad)
+
     def test_failed_train_forward_drops_the_last_tape(self, monkeypatch):
         model, grad = self.trained_forward()
 

@@ -748,6 +748,31 @@ class TestBatchNorm:
             batchnorm_forward(rng.normal((1, 4, 2, 2)), bn)
 
 
+class TestBatchNormKeptStats:
+    """The statistics a train forward keeps are those the backward would take."""
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, offset, const", [((1, 3, 1, 1), 0.0, False),
+                                                      ((3, 4, 5, 5), 5.0, True),
+                                                      ((2, 6, 9, 7), 0.0, False)])
+    def test_backward_given_stats_is_bitwise_the_recomputing_one(self, dt, shape, offset, const):
+        bn, x, gy = drawn_bn(shape, offset, const, 11, dt)
+        y, stats = batchnorm_forward(x, bn, train=True, keep_stats=True)
+        assert same_bits(y, batchnorm_forward(x, bn, train=True))
+        mean, _, var = ops._batch_stats(x)  # as the backward takes them
+        assert same_bits(stats.mean, mean) and same_bits(stats.inv_std, 1.0 / np.sqrt(var + bn.eps))
+        x0 = x.copy()
+        kept, again = batchnorm_backward(x, bn, gy, stats), batchnorm_backward(x, bn, gy)
+        assert same_bits(kept.grad_input, again.grad_input)
+        for name in ("gamma", "beta"):
+            assert same_bits(kept.grad_params[name], again.grad_params[name])
+        assert same_bits(x, x0)
+
+    def test_keep_stats_needs_train_mode(self, rng):
+        with pytest.raises(ValueError, match="keep_stats"):
+            batchnorm_forward(rng.normal((1, 3, 2, 2)), BatchNorm2d.create(3), keep_stats=True)
+
+
 class TestGelu:
     def test_zero(self):
         assert gelu(np.array([0.0]))[0] == 0.0
@@ -771,6 +796,19 @@ class TestGelu:
         assert gelu(np.ones(3, dtype=np.float64)).dtype == np.float64
         for dt in (np.float32, np.float64):
             assert gelu_backward(np.ones(3, dtype=dt), np.ones(3, dtype=dt)).dtype == dt
+
+    @pytest.mark.parametrize("dt, want", [(np.float16, np.float64), (np.int32, np.float64),
+                                          (np.float32, np.float32), (np.float64, np.float64)])
+    def test_dtype_contract(self, dt, want):
+        # f32 and f64 keep their dtype; any other dtype runs, and returns, in f64
+        x = np.array([-3, -1, 0, 1, 2, 5], dtype=dt)
+        g = np.array([1, -2, 3, 1, 1, 2], dtype=dt)
+        x64, g64 = x.astype(want), g.astype(want)
+        fwd, (fwd_kept, cdf), slope = gelu(x), gelu(x, keep_cdf=True), gelu_backward(x, g)
+        assert fwd.dtype == fwd_kept.dtype == cdf.dtype == slope.dtype == want
+        assert same_bits(fwd, gelu(x64)) and same_bits(fwd_kept, fwd)
+        assert same_bits(slope, gelu_backward(x64, g64))
+        assert same_bits(gelu_backward(x, g, cdf), slope)
 
 
 def scipy_gelu(x):
@@ -885,6 +923,23 @@ class TestGeluF32:
             got = gelu_backward(x, g)
         assert same_bits(got, want)
         assert same_bits(x, x0) and same_bits(g, g0)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (2, 3, 5, 7), (ops._ERF_F32_BLOCK + 3,),
+                                       (2, ops._ERF_F32_BLOCK + 5)])
+    def test_kept_phi_is_bitwise_the_recomputed_one(self, rng, dt, shape):
+        # gelu's kept Phi feeds gelu_backward in place of taking Phi again
+        x = rng.normal(shape, std=3.0, dtype=dt)
+        m = min(x.size, len(SPECIAL))
+        x.reshape(-1)[:m] = SPECIAL[:m]
+        g = rng.normal(shape, dtype=dt)
+        with np.errstate(invalid="ignore"):
+            y, cdf = gelu(x, keep_cdf=True)
+            assert same_bits(y, gelu(x)) and same_bits(cdf, ops._normal_cdf(x))
+            assert same_bits(gelu_backward(x, g, cdf), gelu_backward(x, g))
+            # a transposed view and a non-contiguous gradient take the same bits
+            xt, gt = x.T, g[..., ::-1].T if x.ndim > 1 else g
+            assert same_bits(gelu_backward(xt, gt, cdf.T), gelu_backward(xt, gt))
 
     def test_layout_and_block_edges_do_not_matter(self, rng):
         # a transposed view, and a size that is not a multiple of the block

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +90,67 @@ class TestRecalibrate:
         stem = dict(model.named_blocks())["stem"]
         y = conv2d(x, stem.plan[0].conv)
         assert np.allclose(stem.plan[0].bn.running_mean, y.mean(axis=(0, 2, 3)), atol=1e-12)
+        for bn in model.iter_batchnorms():
+            assert "momentum" not in vars(bn) and bn.momentum == 0.1
+
+    @staticmethod
+    def recorded_recalibration(model, x):
+        """Recalibration as a recorded train-mode forward at momentum 1, then the mode restored."""
+        bns = list(model.iter_batchnorms())
+        for bn in bns:
+            bn.momentum = 1.0
+        prev = model.mode
+        model.set_mode("train")
+        model.forward(x)
+        model.set_mode(prev)
+        for bn in bns:
+            del bn.momentum
+
+    @pytest.mark.parametrize("variant, dtype, shape", [("micro", "f32", (4, 3, 32, 32)),
+                                                       ("micro", "f64", (4, 3, 64, 64)),
+                                                       ("ti", "f32", (2, 3, 64, 64))])
+    def test_running_stats_bitwise_those_of_a_recorded_pass(self, variant, dtype, shape):
+        fresh, recorded = (build_model(default_config(variant), dtype) for _ in range(2))
+        x = Rng(6).normal(shape, dtype=fresh.dtype)
+        recalibrate_bn(fresh, x)
+        self.recorded_recalibration(recorded, x)
+        got, want = fresh.iter_buffers(), recorded.iter_buffers()
+        assert [n for n, _ in got] == [n for n, _ in want]
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for (_, a), (_, b) in zip(got, want))
+
+    def test_peak_memory_far_below_a_recorded_pass(self):
+        # ti at 64 px: the recorded pass's tape is ~10 MB, the pass itself ~2 MB
+        model = build_model(default_config("ti"))
+        x = Rng(6).normal((2, 3, 64, 64))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            self.recorded_recalibration(model, x)
+            recorded = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            recalibrate_bn(model, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < recorded / 3, (peak, recorded)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("bad", [
+        np.zeros((2, 3, 32, 32), np.float64),   # another dtype
+        np.zeros((0, 3, 32, 32), np.float32),   # no samples
+        np.zeros((2, 3, 32, 32), np.float32).tolist(),
+        np.zeros((2, 4, 32, 32), np.float32),   # another channel count
+    ], ids=["f64", "batch0", "list", "channels4"])
+    def test_bad_batch_is_refused_with_nothing_changed(self, mode, bad):
+        model = build_model(default_config("micro"))
+        model.set_mode(mode)
+        before = [buf.copy() for _, buf in model.iter_buffers()]
+        with pytest.raises(ShapeError):
+            recalibrate_bn(model, bad)
+        assert model.mode == mode
+        assert all(np.array_equal(b, a) for b, (_, a) in zip(before, model.iter_buffers()))
         for bn in model.iter_batchnorms():
             assert "momentum" not in vars(bn) and bn.momentum == 0.1
 
