@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numbers
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from typing import Iterator, List, Optional, Tuple
 
@@ -72,6 +71,8 @@ class ModelConfig:
         # a checkpoint's JSON can carry any type: refuse before comparing
         integral = [(f"a stage {i + 1} entry", v)
                     for i, st in enumerate(self.stages) for v in astuple(st)]
+        if not isinstance(self.dilations, (tuple, list)) or len(self.dilations) != 2:
+            raise ConfigError(f"dilations must be a pair, got {self.dilations!r}")
         integral += [("a dilation", d) for d in self.dilations]
         integral += [("num_classes", self.num_classes), ("mixer_kernel", self.mixer_kernel),
                      ("seed", self.seed)]
@@ -160,30 +161,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool: Optional[ThreadPoolExecutor] = None  # runs batch slices 1...; made on first use
-_pool_lock = threading.Lock()
-
-
-def _slice_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _usable_cpus() - 1),
-                                       thread_name_prefix="rapidnet-slice")
-        return _pool
-
-
-def _drop_pool_in_child() -> None:
-    # a forked child has none of the pool's threads, and a lock held by
-    # another thread at the fork would never be released
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool_in_child)
-
-
 class RapidNetModel:
     """A built network: one ordered list of named blocks (stem, four stages
     with interleaved downsamples, head) that every walker reads.
@@ -193,14 +170,15 @@ class RapidNetModel:
     on one tape what every block's backward reads, which `backward` consumes
     and `set_mode` drops.  An eval-mode forward of N >= 2 samples splits the
     batch into `workers(N)` contiguous slices, one per usable CPU.  Slice 0
-    runs on the caller's thread and the rest on a shared thread pool, all
-    with OpenBLAS pinned to one thread (`blas.one_thread`); the head then
-    runs once over the joined features.  The logits are bitwise those of
-    the unsliced forward at one BLAS thread, and a slice's error is raised
-    only after every slice has finished.  `dtype` and `fused` are read off
-    the blocks, not stored.  Blocks are named stem, stage{i}.irb{j},
-    stage{i}.dcb{j}.mldc, stage{i}.dcb{j}.ffn, down{i} and head; parameter
-    names are <block>.<layer>.<tensor> (see `iter_params`).
+    runs on the caller's thread and the rest on an executor made for the
+    call, whose threads end with it, all with OpenBLAS pinned to one thread
+    (`blas.one_thread`); the head then runs once over the joined features.
+    The logits are bitwise those of the unsliced forward at one BLAS
+    thread, and a slice's error is raised only after every slice has
+    finished.  `dtype` and `fused` are read off the blocks, not stored.
+    Blocks are named stem, stage{i}.irb{j}, stage{i}.dcb{j}.mldc,
+    stage{i}.dcb{j}.ffn, down{i} and head; parameter names are
+    <block>.<layer>.<tensor> (see `iter_params`).
     """
 
     def __init__(self, config: ModelConfig, blocks: List[Tuple[str, object]]):
@@ -300,15 +278,13 @@ class RapidNetModel:
         # unlike the gemm of a larger slice.
         body, head = self._blocks[:-1], self._blocks[-1:]
         bounds = [len(x) * i // workers for i in range(workers + 1)]
-        futures = []
         with blas.one_thread():
-            try:
-                pool = _slice_pool()
-                for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                    futures.append(pool.submit(self._run, x[lo:hi], None, body))
+            # the executor's exit waits for every slice: none outlives the pin,
+            # nor the call that raised, and its threads end with the call
+            with ThreadPoolExecutor(workers - 1, thread_name_prefix="rapidnet-slice") as pool:
+                futures = [pool.submit(self._run, x[lo:hi], None, body)
+                           for lo, hi in zip(bounds[1:-1], bounds[2:])]
                 first = self._run(x[:bounds[1]], None, body)
-            finally:
-                wait(futures)  # no slice outlives the pin, nor the call that raised
             features = np.concatenate([first] + [f.result() for f in futures])
             return self._run(features, None, head)
 

@@ -840,19 +840,26 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    if x.ndim != 4:
+        raise ShapeError(f"global_avg_pool expects a 4-D input, got {x.shape}")
     n, c, h, w = x.shape
     if grad_out.shape != (n, c):
         raise ShapeError(f"grad_out shape {grad_out.shape} != ({n}, {c})")
     return np.broadcast_to(grad_out[:, :, None, None] / x.dtype.type(h * w), x.shape).copy()
 
 
-def linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
+def _check_linear_input(x: np.ndarray, layer: LinearLayer) -> None:
     if x.ndim != 2 or x.shape[1] != layer.in_features:
         raise ShapeError(f"linear expects (N, {layer.in_features}) input, got {x.shape}")
+
+
+def linear(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
+    _check_linear_input(x, layer)
     return x @ layer.weight.value.T + layer.bias.value[None, :]
 
 
 def linear_backward(x: np.ndarray, layer: LinearLayer, grad_out: np.ndarray) -> GradResult:
+    _check_linear_input(x, layer)
     if grad_out.shape != (x.shape[0], layer.out_features):
         raise ShapeError(f"grad_out shape {grad_out.shape} != ({x.shape[0]}, {layer.out_features})")
     return GradResult(
@@ -869,6 +876,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> Tuple[fl
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D (N, classes), got {logits.shape}")
     n, classes = logits.shape
+    if n == 0:
+        raise ShapeError(f"logits hold no samples: {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (n,):
         raise ShapeError(f"expected {n} labels, got {labels.shape}")

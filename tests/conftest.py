@@ -46,6 +46,8 @@ def without(key: str):
 DEFECTIVE_CONFIGS = {
     "two_element_stage": lambda b: {**b, "stages": [b["stages"][0][:2]] + b["stages"][1:]},
     "null_dilations": lambda b: {**b, "dilations": None},
+    "three_dilations": lambda b: {**b, "dilations": [2, 3, 4]},
+    "one_dilation": lambda b: {**b, "dilations": [2]},
     "list_blob": lambda b: [b],
     "bogus_mixer_mode": lambda b: {**b, "mixer_mode": "bogus"},
     "missing_dtype": lambda b: {k: v for k, v in b.items() if k != "dtype"},

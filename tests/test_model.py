@@ -1,3 +1,4 @@
+import contextlib
 import os
 import signal
 import sys
@@ -71,6 +72,11 @@ class TestConfigRegistry:
             replace(base, dilations=(1, 3)).validate()
         # non-mldc modes are free to use any positive dilation
         replace(base, mixer_mode="sldc", dilations=(1, 2)).validate()
+
+    @pytest.mark.parametrize("dilations", [(2, 3, 4), (2,), (), 2, None])
+    def test_validation_rejects_dilations_not_a_pair(self, dilations):
+        with pytest.raises(ConfigError, match="dilations"):
+            replace(default_config("micro"), dilations=dilations).validate()
 
     def test_validation_accepts_numpy_integers(self):
         base = default_config("micro")
@@ -412,7 +418,7 @@ class TestSlicedForward:
     def test_forked_child_runs_a_sliced_forward(self, two_cpus):
         model = build_model(default_config("micro"))
         x = Rng(9).normal((2, 3, 32, 32)).astype(np.float32)
-        ref = model.forward(x)  # starts the pool in the parent
+        ref = model.forward(x)  # a sliced forward in the parent first
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads alive
             pid = os.fork()
@@ -433,6 +439,25 @@ class TestSlicedForward:
                 pytest.fail("the forked child's forward did not finish within 60 s")
             time.sleep(0.02)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_no_slice_thread_outlives_the_call(self, raises, two_cpus, monkeypatch):
+        if blas.threads() is None:
+            pytest.skip("numpy carries no OpenBLAS library: the forward is not sliced")
+        model = build_model(default_config("micro"))
+        if raises:
+            name, block = model.named_blocks()[-2]
+
+            def forward(h, tape=None):
+                if threading.current_thread() is not threading.main_thread():
+                    raise ValueError(name)
+                return type(block).forward(block, h, tape)
+
+            monkeypatch.setattr(block, "forward", forward)
+        x = Rng(11).normal((4, 3, 32, 32)).astype(np.float32)
+        with pytest.raises(ValueError) if raises else contextlib.nullcontext():
+            model.forward(x)
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("rapidnet-slice")]
 
     def test_concurrent_callers(self, two_cpus):
         # more callers than cores, switching often: each gets its own logits,

@@ -23,7 +23,9 @@ from rapidnet.ops import (
     gelu,
     gelu_backward,
     global_avg_pool,
+    global_avg_pool_backward,
     linear,
+    linear_backward,
     out_shape,
     softmax_cross_entropy,
 )
@@ -971,6 +973,10 @@ class TestPooling:
                         acc += x[n, c, i, j]
                 assert got[n, c] == pytest.approx(acc / 20.0, rel=1e-6)
 
+    def test_backward_needs_a_4d_input(self):
+        with pytest.raises(ShapeError, match="4-D"):
+            global_avg_pool_backward(np.zeros((2, 3), np.float32), np.zeros((2, 3), np.float32))
+
 
 class TestLinear:
     def test_identity(self):
@@ -986,6 +992,13 @@ class TestLinear:
         layer = LinearLayer.create(4, 2, rng=rng)
         with pytest.raises(ShapeError):
             linear(rng.normal((1, 5)), layer)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3), (2, 4, 1), (4,)])
+    def test_backward_checks_the_input_like_forward(self, shape):
+        # a (2, 5) input would give a (3, 5) gradient for the (3, 4) weight
+        layer = LinearLayer.create(4, 3)
+        with pytest.raises(ShapeError, match=r"\(N, 4\)"):
+            linear_backward(np.zeros(shape, np.float32), layer, np.zeros((2, 3), np.float32))
 
 
 class TestSoftmaxCrossEntropy:
@@ -1005,6 +1018,10 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros((1, 4)), [4])
         with pytest.raises(LabelError):
             softmax_cross_entropy(np.zeros((1, 4)), [-1])
+
+    def test_empty_batch(self):
+        with pytest.raises(ShapeError, match="no samples"):
+            softmax_cross_entropy(np.zeros((0, 4), np.float32), [])
 
     def test_grad_sums_to_zero(self, rng):
         logits = rng.normal((4, 6), dtype=np.float64)
