@@ -28,9 +28,11 @@ grad_x = k1*g + k2*d + k3 with per-channel k1, k2, k3.  The forward can
 return the batch mean and inv_std (`keep_stats`) for the backward to read.
 
 GeLU is x * Phi(x) with the exact normal CDF Phi.  f64 evaluates Phi with
-scipy's erf.  f32 uses Phi(x) = (1 + tanh(x * P(x^2))) / 2 with P a degree-6
-minimax fit: within 2.5e-7 of the f64 Phi, about 1,900x tighter than the
-degree-1 tanh approximation (1.8e-4), in ~17 passes over cache-sized blocks.
+scipy's erf, imported on first use: `scipy.special` adds about 24 MB and
+0.25 s to a process, and nothing else needs it.  f32 uses
+Phi(x) = (1 + tanh(x * P(x^2))) / 2 with P a degree-6 minimax fit: within
+2.5e-7 of the f64 Phi, about 1,900x tighter than the degree-1 tanh
+approximation (1.8e-4), in ~17 passes over cache-sized blocks.
 The forward can return Phi (`keep_cdf`) for the backward to read, whose
 remaining seven passes run over the same blocks.
 """
@@ -42,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import GeometryError, LabelError, ShapeError
 from .tensor import Rng
@@ -761,9 +762,11 @@ def _normal_cdf(x: np.ndarray, *, times_x: bool = False, keep_cdf: bool = False)
 
     f32 takes `_PHI_F32_POLY` block by block in the Phi array, times x while
     the block is in cache.  x^2 and P(x^2) overflow to inf past |x| ~ 6e3,
-    where tanh is +-1 anyway.  f64 takes scipy's erf.
+    where tanh is +-1 anyway.  f64 takes scipy's erf, imported here only.
     """
     if np.result_type(x) != np.float32:
+        from scipy.special import erf
+
         cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
         y = cdf * x if times_x else cdf
         return (y, cdf) if keep_cdf else y
@@ -871,16 +874,19 @@ def linear_backward(x: np.ndarray, layer: LinearLayer, grad_out: np.ndarray) -> 
 def softmax_cross_entropy(logits: np.ndarray, labels: Sequence[int]) -> Tuple[float, np.ndarray]:
     """Mean cross-entropy with log-sum-exp stabilization.
 
-    Returns (loss, grad_logits) with grad = (softmax - one_hot) / N.
+    Returns (loss, grad_logits) with grad = (softmax - one_hot) / N.  Labels
+    are N class indices of an integer dtype; floats and bools are refused.
     """
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D (N, classes), got {logits.shape}")
     n, classes = logits.shape
     if n == 0:
         raise ShapeError(f"logits hold no samples: {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ShapeError(f"expected {n} labels, got {labels.shape}")
+    if labels.dtype.kind not in "iu":  # a cast would truncate 1.7 to 1 and read True as 1
+        raise LabelError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= classes:
         raise LabelError(f"labels must lie in [0, {classes})")
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -14,12 +14,16 @@ File layout (all integers little-endian):
 Entries carry every learnable parameter and every BN running-statistics
 buffer, named exactly as `iter_params` / `iter_buffers` name them, so a
 round trip reproduces the model bitwise.  The config blob makes the file
-self-describing: `load` builds a zero-filled structure from it (no random
-init), checks every conv and linear weight's name and shape against the
-entries, gives it the fused structure when the file is fused
-(`reparam.fused_structure`: no BN is folded, since the fill overwrites every
-tensor; the equivalence forward lives in `reparam.reparameterize_model`,
-which export and verify run), then checks and fills the entries one by one.
+self-describing.  `load` makes two passes over the file and holds one copy
+of the weights.  The first reads the entry table (name, dtype, dims and
+where each payload starts) and seeks over the payloads.  It then builds a
+zero-filled structure from the config (no random init), checks every conv
+and linear weight's name and shape against the table, and gives the
+structure the fused form when the file is fused (`reparam.fused_structure`:
+no BN is folded, since the fill overwrites every tensor; the equivalence
+forward lives in `reparam.reparameterize_model`, which export and verify
+run).  The second pass reads each payload straight into its tensor, in file
+order: a byte copy of little-endian scalars.
 The blob must carry every config field plus "fused" (a JSON bool) and
 "dtype", which every entry must have; `save` writes them all, so a missing
 or mistyped key is a `CorruptFileError` and an entry of another dtype an
@@ -32,7 +36,8 @@ import json
 import math
 import os
 import struct
-from typing import BinaryIO, Dict, Tuple
+import sys
+from typing import BinaryIO, Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -65,14 +70,22 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
     return data
 
 
-def _read_declared(fh: BinaryIO, n: int, end: int) -> bytes:
-    """`_read_exact` of a length the file declares: refuse one past its `end`."""
+def _check_declared(fh: BinaryIO, n: int, end: int) -> None:
+    """Refuse a length the file declares that runs past its `end`."""
     if n > end - fh.tell():
         raise CorruptFileError(f"file truncated: wanted {n} bytes, {end - fh.tell()} remain")
-    return _read_exact(fh, n)
 
 
-def _read_entry(fh: BinaryIO, end: int) -> Tuple[str, np.ndarray]:
+class _Entry(NamedTuple):
+    """One entry of the table `load` reads first: its payload is read later."""
+
+    dtype: np.dtype
+    shape: Tuple[int, ...]
+    offset: int  # where the payload starts in the file
+
+
+def _read_entry(fh: BinaryIO, end: int) -> Tuple[str, _Entry]:
+    """Read one entry's header and seek over its payload."""
     (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
     try:
         name = _read_exact(fh, name_len).decode("utf-8")
@@ -86,9 +99,11 @@ def _read_entry(fh: BinaryIO, end: int) -> Tuple[str, np.ndarray]:
                                f"at most {_MAX_NDIM} exist")
     dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
     dtype = _CODE_DTYPE[code]
-    count = math.prod(dims)  # Python ints: a crafted shape cannot wrap
-    payload = _read_declared(fh, count * dtype.itemsize, end)
-    return name, np.frombuffer(payload, dtype=dtype).reshape(dims)
+    nbytes = math.prod(dims) * dtype.itemsize  # Python ints: a crafted shape cannot wrap
+    _check_declared(fh, nbytes, end)
+    entry = _Entry(dtype, dims, fh.tell())
+    fh.seek(nbytes, os.SEEK_CUR)
+    return name, entry
 
 
 def save(model: RapidNetModel, path: str) -> None:
@@ -124,7 +139,19 @@ def save(model: RapidNetModel, path: str) -> None:
 
 
 def load(path: str) -> RapidNetModel:
-    """Rebuild a model from a checkpoint; every tensor is restored bitwise."""
+    """Rebuild a model from a checkpoint; every tensor is restored bitwise.
+
+    The first pass reads the header and the entry table and raises every
+    error of the file's layout: truncation, an unknown dtype code, too many
+    dimensions, a name that is not UTF-8, a duplicate name, an entry dtype
+    other than the blob's.  The model is then built and its weights checked
+    against the table.  The second pass walks the entries in file order,
+    checks each one's name and shape and reads its payload into the tensor
+    (a byte copy of the little-endian scalars), so no second copy of the
+    weights is ever held.  BN statistics are checked once they are in: they
+    must be finite, with variances >= 0.  A file that is cut short between
+    the passes is a `CorruptFileError`.  Any error drops the half-filled model.
+    """
     with open(path, "rb") as fh:
         end = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -134,8 +161,9 @@ def load(path: str) -> RapidNetModel:
         if version != VERSION:
             raise VersionError(f"unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        _check_declared(fh, cfg_len, end)
         try:
-            blob = json.loads(_read_declared(fh, cfg_len, end).decode("utf-8"))
+            blob = json.loads(_read_exact(fh, cfg_len).decode("utf-8"))
             cfg = ModelConfig.from_dict(blob)
             cfg.validate()
             # `save` writes both keys, so a missing one is damage, not a default
@@ -146,49 +174,57 @@ def load(path: str) -> RapidNetModel:
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptFileError(f"unreadable config blob: {exc}") from exc
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        stored: Dict[str, np.ndarray] = {}
+        table: Dict[str, _Entry] = {}
         for _ in range(count):
-            name, arr = _read_entry(fh, end)
-            if name in stored:
+            name, entry = _read_entry(fh, end)
+            if name in table:
                 raise IntegrityError(f"duplicate tensor entry {name!r}")
-            if arr.dtype != dtype.newbyteorder("<"):
-                raise IntegrityError(f"entry {name!r} is {arr.dtype.name}, not {dtype.name}")
-            stored[name] = arr
+            if entry.dtype != dtype.newbyteorder("<"):
+                raise IntegrityError(f"entry {name!r} is {entry.dtype.name}, not {dtype.name}")
+            table[name] = entry
 
-    try:
-        model = build_model(cfg, dtype=dtype, init=False)
-    except (MemoryError, ValueError) as exc:
-        # numpy raises MemoryError past what the host can give, ValueError
-        # past what an array can index
-        raise CorruptFileError(f"config declares a model too large to allocate: {exc}") from exc
-    # Fusion keeps every conv and linear weight, so this check bounds what a
-    # crafted config makes the rewrite below write to.
-    for name, p in model.iter_params():
-        if name.endswith(".weight"):
-            arr = stored.get(name)
-            if arr is None or arr.shape != p.shape:
-                found = "missing" if arr is None else f"shape {arr.shape}"
-                raise IntegrityError(f"weight {name!r} is {found}, the "
-                                     f"{cfg.variant!r} config declares {p.shape}")
-    if fused:
-        model = fused_structure(model)
+        try:
+            model = build_model(cfg, dtype=dtype, init=False)
+        except (MemoryError, ValueError) as exc:
+            # numpy raises MemoryError past what the host can give, ValueError
+            # past what an array can index
+            raise CorruptFileError(f"config declares a model too large to allocate: {exc}") from exc
+        # Fusion keeps every conv and linear weight, so this check bounds what a
+        # crafted config makes the fill below write to.
+        for name, p in model.iter_params():
+            if name.endswith(".weight"):
+                entry = table.get(name)
+                if entry is None or entry.shape != p.shape:
+                    found = "missing" if entry is None else f"shape {entry.shape}"
+                    raise IntegrityError(f"weight {name!r} is {found}, the "
+                                         f"{cfg.variant!r} config declares {p.shape}")
+        if fused:
+            model = fused_structure(model)
 
-    expected = {name: p.value for name, p in model.iter_params()}
-    buffers = dict(model.iter_buffers())
-    for name, arr in stored.items():
-        target = expected.pop(name, None)
-        if target is None:
-            if name not in buffers:
-                raise IntegrityError(f"checkpoint entry {name!r} does not exist in the "
-                                     f"{cfg.variant!r} model structure")
-            target = buffers.pop(name)
+        expected = {name: p.value for name, p in model.iter_params()}
+        buffers = dict(model.iter_buffers())
+        for name, entry in table.items():
+            target = expected.pop(name, None)
+            is_buffer = target is None
+            if is_buffer:
+                if name not in buffers:
+                    raise IntegrityError(f"checkpoint entry {name!r} does not exist in the "
+                                         f"{cfg.variant!r} model structure")
+                target = buffers.pop(name)
+            if target.shape != entry.shape:
+                raise IntegrityError(f"entry {name!r} has shape {entry.shape}, "
+                                     f"model expects {target.shape}")
+            fh.seek(entry.offset)
+            got = fh.readinto(target)  # C-contiguous: its buffer is its bytes
+            if got != target.nbytes:
+                raise CorruptFileError(f"file truncated: entry {name!r} wanted "
+                                       f"{target.nbytes} bytes, got {got}")
+            if sys.byteorder != "little":  # the tensor has the host's byte order
+                target.byteswap(inplace=True)
             # BN statistics are a few KB: check them, not the weights, on every load
-            if not np.isfinite(arr).all() or (name.endswith(".running_var") and (arr < 0).any()):
+            if is_buffer and (not np.isfinite(target).all()
+                              or (name.endswith(".running_var") and (target < 0).any())):
                 raise IntegrityError(f"BN buffer {name!r} is non-finite or a negative variance")
-        if target.shape != arr.shape:
-            raise IntegrityError(f"entry {name!r} has shape {arr.shape}, "
-                                 f"model expects {target.shape}")
-        target[...] = arr
     missing = list(expected) + list(buffers)
     if missing:
         raise IntegrityError(f"checkpoint is missing tensors: {missing[:5]}"

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -952,6 +955,45 @@ class TestGeluF32:
         assert np.array_equal(gelu(flat), np.concatenate(parts))
 
 
+# Run the f32 paths of the package in a fresh interpreter, then an f64 GeLU;
+# print whether scipy.special was loaded after each.
+_LAZY_ERF_PROBE = """
+import os, sys
+import numpy as np
+import rapidnet
+from rapidnet import analysis, model, ops, trainer, weights_io
+
+net = model.build_model(model.default_config("micro"))
+x = np.random.default_rng(0).standard_normal((4, 3, 32, 32), dtype=np.float32)
+net.set_mode("train")
+_, grad = ops.softmax_cross_entropy(net.forward(x), [0, 1, 2, 3])
+net.zero_grad()
+net.backward(grad)
+params = net.iter_params()
+trainer.adamw_step([(n, p.value) for n, p in params], {n: p.grad for n, p in params},
+                   trainer.AdamWState(lr=1e-3))
+net.set_mode("eval")
+net.forward(x)
+path = os.path.join(sys.argv[1], "m.rpdn")
+weights_io.save(net, path)
+loaded = weights_io.load(path)
+analysis.report(loaded.config, 32, loaded)
+print("scipy.special" in sys.modules)
+ops.gelu(np.array([0.5]))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_scipy_special_is_imported_only_by_an_f64_gelu(tmp_path):
+    # the f64 erf is the package's only use of scipy.special, which costs a
+    # process about 24 MB and 0.25 s to import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ops.__file__)))
+    out = subprocess.run([sys.executable, "-c", _LAZY_ERF_PROBE, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 class TestPooling:
     def test_ones(self):
         out = global_avg_pool(np.ones((1, 3, 7, 7), dtype=np.float32))
@@ -1022,6 +1064,20 @@ class TestSoftmaxCrossEntropy:
     def test_empty_batch(self):
         with pytest.raises(ShapeError, match="no samples"):
             softmax_cross_entropy(np.zeros((0, 4), np.float32), [])
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [True, False], [0.0, 1.0],
+                                        np.array([0, 1], np.float32), ["0", "1"]])
+    def test_non_integer_labels_are_refused(self, labels):
+        # a cast to int64 would truncate 1.7 to 1 and read True as 1
+        with pytest.raises(LabelError, match="integers"):
+            softmax_cross_entropy(np.zeros((2, 4), np.float32), labels)
+
+    @pytest.mark.parametrize("dt", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+    def test_every_integer_dtype_is_a_label(self, dt):
+        logits = np.arange(8, dtype=np.float64).reshape(2, 4)
+        want = softmax_cross_entropy(logits, [3, 0])
+        got = softmax_cross_entropy(logits, np.array([3, 0], dtype=dt))
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_grad_sums_to_zero(self, rng):
         logits = rng.normal((4, 6), dtype=np.float64)

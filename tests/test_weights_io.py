@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +405,48 @@ class TestErrorCases:
         path = tmp_path / "model.rpdn"
         save(model, str(path))
         assert_models_equal(model, load(str(path)))
+
+
+class TestStreamingLoad:
+    """`load` reads each payload straight into its tensor: one copy in flight."""
+
+    def test_fused_ti_load_holds_one_copy_of_the_weights(self, tmp_path):
+        fused, _ = reparameterize_model(build_model(default_config("ti")))
+        path = tmp_path / "ti.rpdn"
+        save(fused, str(path))
+        tensor_bytes = sum(p.value.nbytes for _, p in fused.iter_params())
+        del fused
+        tracemalloc.start()
+        try:
+            loaded = load(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # reading every payload into bytes first, then copying, peaks at 2x
+        assert peak <= 1.25 * tensor_bytes, (peak, tensor_bytes)
+        assert loaded.fused
+
+    @pytest.mark.parametrize("keep", ["header", "half", "all but one byte"])
+    def test_file_cut_between_the_passes_is_corrupt(self, keep, tmp_path, monkeypatch):
+        # the table is read, then the file shrinks while the model is built:
+        # the fill must raise, not hand back a model with zero-filled tensors
+        model = build_model(default_config("micro"))
+        randomize_bn_stats(model, seed=6)
+        path = tmp_path / "m.rpdn"
+        save(model, str(path))
+        data = path.read_bytes()
+        size = {"header": header_byte_ranges(data)[0][1], "half": len(data) // 2,
+                "all but one byte": len(data) - 1}[keep]
+        build = weights_io.build_model
+
+        def cut_then_build(*args, **kwargs):
+            with open(path, "r+b") as fh:
+                fh.truncate(size)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(weights_io, "build_model", cut_then_build)
+        with pytest.raises(CorruptFileError, match="truncated"):
+            load(str(path))
 
 
 def header_byte_ranges(data: bytes):
