@@ -5,6 +5,8 @@ Each case runs `iters_per_round` forward passes per timed round, for
 are discarded before averaging.  Wall-clock numbers are reported, never
 asserted: host variance cannot support hard thresholds.  The MAC
 annotations, by contrast, are exact and shared with the analysis module.
+After the rounds, one more untimed call runs under `tracemalloc`, so a case's
+memory shows next to its time.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class BenchResult:
     threads: Optional[int]
     workers: Optional[int]  # batch slices the "model" case's forward ran; None for op cases
     melems_per_s: Optional[float]  # "gelu" elements per second (millions) at the median; else None
+    peak_alloc_mb: float  # tracemalloc peak of one untimed call after the rounds, in 10^6 bytes
 
     def to_json_line(self) -> str:
         return json.dumps(asdict(self))
@@ -86,6 +89,18 @@ def _time_case(fn: Callable[[], None], protocol: BenchProtocol) -> List[int]:
     return rounds
 
 
+def _peak_alloc_mb(fn: Callable[[], None]) -> float:
+    """Peak bytes (10^6) that Python and numpy allocate during one call of fn."""
+    import tracemalloc  # here, not at import: it adds 0.13 MB to every process
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
                dilation: int = 3, kernel: int = 7, variant: str = "ti",
                fused: bool = False, seed: int = 0) -> BenchResult:
@@ -101,7 +116,9 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
     reports outside the timed calls.  A "model" forward of N >= 2 runs as
     `workers` batch slices, one per usable CPU, with OpenBLAS pinned to one
     thread meanwhile (see `RapidNetModel.forward`); the op cases leave
-    numpy's threading as it is.
+    numpy's threading as it is.  `peak_alloc_mb` is the `tracemalloc` peak of
+    one untimed call after the rounds: what the call allocates, not the
+    inputs and weights made before it.
     """
     protocol.validate()
     if case not in BENCH_CASES:
@@ -153,9 +170,10 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
         label = f"model({variant}{', fused' if fused else ''})"
 
     rounds = _time_case(fn, protocol)
+    peak_alloc_mb = _peak_alloc_mb(fn)
     mean, median, tmin = trimmed_stats(rounds, protocol.trim)
     melems_per_s = x.size * protocol.iters_per_round / median * 1e3 if case == "gelu" else None
     return BenchResult(label=label, shape=[n, c, h, w], macs=macs,
                        round_times_ns=rounds, trimmed_mean_ns=mean,
                        median_ns=median, min_ns=int(tmin), threads=blas_threads(),
-                       workers=workers, melems_per_s=melems_per_s)
+                       workers=workers, melems_per_s=melems_per_s, peak_alloc_mb=peak_alloc_mb)

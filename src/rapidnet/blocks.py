@@ -33,6 +33,20 @@ the block input.  The `DISCARD` tape runs train mode and records nothing,
 for a forward that no backward follows.  Blocks whose BN layers have been
 folded away (see `reparam`) carry `None` in the BN slots and skip
 normalization, and a fused CPE stage carries `skip=False`.
+
+A forward whose tape records nothing (`None` or `DISCARD`) reuses buffers
+that nothing else reads, through the ops' `out=`, with the bits of a
+forward that allocates every result.  Each stage's BN and GeLU, and its
+identity skip add, overwrite the stage's fresh conv, linear or pooling
+output; a parallel group sums its branches into the first branch's output
+and takes its GeLU there; the residual is added into the plan's output.
+Past the first plan item the input of an item is the plan's own (the
+previous item's output), so a stage whose conv keeps that shape and reads
+it into buffers of its own (the IRB's 3x3 depthwise conv, `_dw_conv`) and
+has no identity skip writes its output over it.  The first item's input is
+never written: it is the caller's array, or a batch slice's view of it,
+and the CPE skip and the block residual read it.  A recording tape
+disables all of this, since it holds those arrays for the backward.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from .ops import (
     BatchNorm2d,
     Conv2dLayer,
     LinearLayer,
+    _conv_kind,
     batchnorm_backward,
     batchnorm_forward,
     conv2d,
@@ -57,6 +72,7 @@ from .ops import (
     global_avg_pool_backward,
     linear,
     linear_backward,
+    out_shape,
 )
 from .tensor import Rng, add
 
@@ -117,28 +133,40 @@ def _keeps(tape) -> bool:
     return tape is not None and tape is not DISCARD
 
 
-def _stage_forward(st: Stage, x, tape):
+def _stage_forward(st: Stage, x, tape, own: bool = False):
+    keep = _keeps(tape)
+    reuse = not keep  # no tape holds this stage's arrays, so each post-op overwrites them
     if st.conv is None:
         y = global_avg_pool(x)
     elif isinstance(st.conv, LinearLayer):
         y = linear(x, st.conv)
     else:
-        y = conv2d(x, st.conv)
+        y = conv2d(x, st.conv, out=x if reuse and own and _fills_own_input(st, x) else None)
     if st.skip:
-        y = add(x, y)
-    keep = _keeps(tape)
+        y = add(x, y, out=y if reuse else None)
     out, stats, z, cdf = y, None, None, None
     if st.bn is not None:
-        out = batchnorm_forward(y, st.bn, tape is not None, keep_stats=keep)
+        out = batchnorm_forward(y, st.bn, tape is not None, keep_stats=keep,
+                                out=y if reuse else None)
         if keep:
             out, stats = out
     if st.act:
-        z, out = out, gelu(out, keep_cdf=keep)
+        z, out = out, gelu(out, keep_cdf=keep, out=out if reuse else None)
         if keep:
             out, cdf = out
     if keep:
         tape.append((x, None if stats is None else y, stats, z, cdf))
     return out
+
+
+def _fills_own_input(st: Stage, x) -> bool:
+    """Whether the stage's conv may write its output over its input x: it keeps
+    x's shape, no identity skip reads x after it, and it copies x into its own
+    buffers before writing (`_dw_conv` one channel block at a time), where a
+    pointwise matmul would make numpy copy all of x first."""
+    h, w = x.shape[2:]
+    return (not st.skip and _conv_kind(st.conv) == "depthwise"
+            and out_shape(h, w, st.conv) == (h, w))
 
 
 def _stage_backward(st: Stage, grad, tape):
@@ -160,11 +188,13 @@ def _stage_backward(st: Stage, grad, tape):
 
 
 def _parallel_forward(group: Parallel, x, tape):
-    pre = reduce(add, [_stage_forward(st, x, tape) for st in group.stages])
+    reuse = not _keeps(tape)
+    pre = reduce(lambda a, b: add(a, b, out=a if reuse else None),
+                 [_stage_forward(st, x, tape) for st in group.stages])
     if not group.act:
         return pre
-    if not _keeps(tape):
-        return gelu(pre)
+    if reuse:
+        return gelu(pre, out=pre)
     out, cdf = gelu(pre, keep_cdf=True)
     tape.append((pre, cdf))
     return out
@@ -215,10 +245,14 @@ class _Block:
             raise GeometryError(f"{type(self).__name__} input resolution "
                                 f"{x.shape[2]}x{x.shape[3]} must be divisible by {m}")
         h = x
-        for item in self.plan:
-            step = _parallel_forward if isinstance(item, Parallel) else _stage_forward
-            h = step(item, h, tape)
-        return add(x, h) if self.residual else h
+        for i, item in enumerate(self.plan):
+            if isinstance(item, Parallel):
+                h = _parallel_forward(item, h, tape)
+            else:  # past the first item, h is the plan's own: the conv may write over it
+                h = _stage_forward(item, h, tape, own=i > 0)
+        if not self.residual:
+            return h
+        return add(x, h, out=None if _keeps(tape) else h)
 
     def backward(self, grad_out: np.ndarray, tape: list) -> np.ndarray:
         g = grad_out

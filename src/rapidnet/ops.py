@@ -35,6 +35,11 @@ Phi(x) = (1 + tanh(x * P(x^2))) / 2 with P a degree-6 minimax fit: within
 approximation (1.8e-4), in ~17 passes over cache-sized blocks.
 The forward can return Phi (`keep_cdf`) for the backward to read, whose
 remaining seven passes run over the same blocks.
+
+`conv2d`, `batchnorm_forward` and `gelu` take `out=`, numpy-style: the
+result goes into that array, which may be the input itself, with the bits
+of the call that allocates; an array that cannot be written straight into
+(strided, read-only, another dtype or shape) is refused (`tensor.check_out`).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import GeometryError, LabelError, ShapeError
-from .tensor import Rng
+from .tensor import Rng, check_out
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -452,7 +457,8 @@ def _rows_band(w: np.ndarray, dilation: int, plan: _DwPlan, dtype) -> np.ndarray
     return band.reshape(rows, c, plan.tp, tile)
 
 
-def _dw_conv(x: np.ndarray, w: np.ndarray, padding: int, dilation: int) -> np.ndarray:
+def _dw_conv(x: np.ndarray, w: np.ndarray, padding: int, dilation: int,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Stride-1 depthwise conv without bias of x [N, C, H, W] with w [C, k, k]:
     one batched matmul per live kernel row.
 
@@ -462,6 +468,11 @@ def _dw_conv(x: np.ndarray, w: np.ndarray, padding: int, dilation: int) -> np.nd
     band's zeros multiply every input pixel of a tile's row, so a non-finite
     input value makes NaN of all outputs of its channel's tile rows, not only
     of its receptive field.
+
+    The result goes into `out` when given (as `conv2d` checked it), which
+    may be x itself when the conv keeps the map size: `_row_blocks` copies
+    channels lo:hi of x into the tiled buffer before their outputs are
+    written, and no other block reads them.
     """
     n, c, h, wd = x.shape
     k, p, d = w.shape[-1], padding, dilation
@@ -470,7 +481,8 @@ def _dw_conv(x: np.ndarray, w: np.ndarray, padding: int, dilation: int) -> np.nd
     plan = _dw_plan(x.shape, k, p, d, dtype)
     band = _rows_band(w, d, plan, dtype)
     step = n * plan.nt  # tiled rows per padded row
-    out = np.empty((n, c, oh, ow), dtype=dtype)
+    if out is None:
+        out = np.empty((n, c, oh, ow), dtype=dtype)
     # the sum stays zero if no tap is live
     acc = np.zeros((plan.per_block, oh * step, plan.tile), dtype=dtype)
     tmp = np.empty_like(acc)
@@ -529,7 +541,7 @@ def _dw_conv_backward(x: np.ndarray, conv: Conv2dLayer,
     return grad_x, grad_w
 
 
-def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
+def conv2d(x: np.ndarray, conv: Conv2dLayer, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Optimized convolution, dispatched on the layer's geometry (`_conv_kind`). Zero padding.
 
     A pointwise conv (1x1, stride 1, no padding, one group) is one matmul on
@@ -544,26 +556,37 @@ def conv2d(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
     matmul over the live taps only (`_im2col_plan`).  Both skip a tap whose
     window lies wholly in padding, exactly as `conv2d_naive` does; when
     every tap is live the live-tap weight is the weight itself.
+
+    With `out` (see `tensor.check_out`) the result is written there, with
+    the bits of the call without it.  `out` shares no memory with x, or is
+    x itself when the conv keeps x's shape: the depthwise and im2col kernels copy x into their own
+    buffers before writing, so no other buffer is made; a pointwise matmul
+    reads x while it writes, so numpy copies x first.  `x` is not modified
+    otherwise.
     """
     _check_conv_input(x, conv)
     n, c, h, w = x.shape
     oh, ow = out_shape(h, w, conv)
     g, o = conv.groups, conv.out_channels
     wv = conv.weight.value
+    if out is not None:
+        check_out(out, (n, o, oh, ow), np.result_type(x, wv), src=x)
     kind = _conv_kind(conv)
     if kind == "pointwise":
-        out = np.matmul(wv.reshape(o, c), x.reshape(n, c, h * w))
+        y = np.matmul(wv.reshape(o, c), x.reshape(n, c, h * w),
+                      out=None if out is None else out.reshape(n, o, h * w))
     elif kind == "depthwise":
-        out = _dw_conv(x, wv[:, 0], conv.padding, conv.dilation)
+        y = _dw_conv(x, wv[:, 0], conv.padding, conv.dilation, out)
     else:
         rows, cols, live_w = _im2col_plan(x, conv, oh, ow)
         kk = c // g * len(rows) * len(cols)
         col = _im2col(x, conv.stride, oh, ow, rows, cols).reshape(n, g, kk, oh * ow)
-        out = np.matmul(live_w.reshape(g, o // g, kk), col)
-    out = out.reshape(n, o, oh, ow)
+        y = np.matmul(live_w.reshape(g, o // g, kk), col,
+                      out=None if out is None else out.reshape(n, g, o // g, oh * ow))
+    y = y.reshape(n, o, oh, ow) if out is None else out
     if conv.bias is not None:
-        out += conv.bias.value[None, :, None, None]
-    return out
+        y += conv.bias.value[None, :, None, None]
+    return y
 
 
 def conv2d_naive(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
@@ -655,16 +678,18 @@ def _check_bn_input(x: np.ndarray, bn: BatchNorm2d) -> None:
         raise ShapeError(f"BN expects (N,{bn.channels},H,W) input, got {x.shape}")
 
 
-def _batch_stats(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _batch_stats(x: np.ndarray, out: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mean, d = x - mean as [N, C, H*W], biased var = mean of d*d) over (N, H, W).
 
+    d is written into `out` (x itself, or an array of x's shape) when given.
     The variance is taken from the centred values, not as E[x^2] - mean^2,
     which cancels catastrophically when |mean| >> std.
     """
     n, c, h, w = x.shape
     xv = x.reshape(n, c, h * w)
     mean = xv.mean(axis=(0, 2))
-    d = xv - mean[:, None]
+    d = np.subtract(xv, mean[:, None], out=None if out is None else out.reshape(xv.shape))
     var = np.einsum("nci,nci->c", d, d) / (n * h * w)
     return mean, d, var
 
@@ -677,19 +702,22 @@ class BatchStats(NamedTuple):
 
 
 def batchnorm_forward(x: np.ndarray, bn: BatchNorm2d, train: bool = False, *,
-                      keep_stats: bool = False):
+                      keep_stats: bool = False, out: Optional[np.ndarray] = None):
     """train: gamma * (x - mean) / sqrt(var + eps) + beta with batch statistics,
     computed in place on the centred copy, moving the running estimates by
     `bn.momentum`; eval: x * scale + shift from the running estimates.
 
-    With `keep_stats` (train only) the result is (y, BatchStats), so that
+    With `out` (see `tensor.check_out`; x itself or an array sharing no
+    memory with x) the centred copy, and so the result, is that array, with
+    the bits of the call without it; `x` is not modified otherwise.  With
+    `keep_stats` (train only) the result is (y, BatchStats), so that
     `batchnorm_backward` reads the statistics instead of taking them again.
     """
     _check_bn_input(x, bn)
     if keep_stats and not train:
         raise ValueError("keep_stats needs train=True: eval mode takes no batch statistics")
     if train:
-        mean, d, var = _batch_stats(x)
+        mean, d, var = _batch_stats(x, None if out is None else check_out(out, x.shape, x.dtype))
         m = bn.momentum
         bn.running_mean = ((1.0 - m) * bn.running_mean + m * mean).astype(x.dtype)
         bn.running_var = ((1.0 - m) * bn.running_var + m * var).astype(x.dtype)
@@ -701,7 +729,11 @@ def batchnorm_forward(x: np.ndarray, bn: BatchNorm2d, train: bool = False, *,
     inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
     scale = (bn.gamma.value * inv_std)[None, :, None, None]
     shift = (bn.beta.value - bn.gamma.value * bn.running_mean * inv_std)[None, :, None, None]
-    return x * scale + shift
+    if out is not None:
+        check_out(out, x.shape, np.result_type(x, scale, shift))
+    y = np.multiply(x, scale, out=out)
+    y += shift
+    return y
 
 
 def batchnorm_backward(x: np.ndarray, bn: BatchNorm2d, grad_out: np.ndarray,
@@ -756,49 +788,76 @@ def _as_float(x) -> np.ndarray:
     return x if x.dtype in (np.float32, np.float64) else x.astype(np.float64)
 
 
-def _normal_cdf(x: np.ndarray, *, times_x: bool = False, keep_cdf: bool = False):
+def _normal_cdf(x: np.ndarray, *, times_x: bool = False, keep_cdf: bool = False,
+                out: Optional[np.ndarray] = None):
     """Standard normal CDF Phi(x) of an f32 or f64 array, as a new array; with
     `times_x`, x * Phi(x) instead, or (x * Phi(x), Phi(x)) with `keep_cdf` too.
+    With `times_x`, `out` (see `tensor.check_out`; x itself or an array
+    sharing no memory with x) receives x * Phi(x).
 
-    f32 takes `_PHI_F32_POLY` block by block in the Phi array, times x while
-    the block is in cache.  x^2 and P(x^2) overflow to inf past |x| ~ 6e3,
-    where tanh is +-1 anyway.  f64 takes scipy's erf, imported here only.
+    Both dtypes run one `_ERF_F32_BLOCK` block at a time, Phi into the Phi
+    array (or the result, or a block of scratch when the result is x), times
+    x while the block is in cache.  f32 takes `_PHI_F32_POLY`: x^2 and
+    P(x^2) overflow to inf past |x| ~ 6e3, where tanh is +-1 anyway.  f64
+    takes scipy's erf, imported here only, as (erf(x / sqrt(2)) + 1) / 2.
     """
-    if np.result_type(x) != np.float32:
+    f32 = x.dtype == np.float32
+    if not f32:
         from scipy.special import erf
-
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        y = cdf * x if times_x else cdf
-        return (y, cdf) if keep_cdf else y
-    cdf = np.empty(np.shape(x), dtype=np.float32)
-    y = np.empty_like(cdf) if times_x and keep_cdf else cdf
-    flat_x, flat_cdf, flat_y = np.reshape(x, -1), cdf.reshape(-1), y.reshape(-1)
-    s = np.empty(min(flat_x.size, _ERF_F32_BLOCK), dtype=np.float32)
+    cdf = np.empty(x.shape, dtype=x.dtype) if keep_cdf or not times_x else None
+    y = cdf
+    if times_x:
+        y = np.empty(x.shape, dtype=x.dtype) if out is None else check_out(out, x.shape, x.dtype, x)
+    flat_x = np.reshape(x, -1)
+    block = min(flat_x.size, _ERF_F32_BLOCK)
+    s = np.empty(block, dtype=x.dtype) if f32 else None
+    # Phi goes into the Phi array, else into the result, unless the result is
+    # x, whose block the product still reads: then into a block of scratch
+    if cdf is not None:
+        phi = cdf.reshape(-1)
+    elif not np.may_share_memory(y, x):
+        phi = y.reshape(-1)
+    else:
+        phi, scratch = None, np.empty(block, dtype=x.dtype)
+    flat_y = y.reshape(-1)
     with np.errstate(over="ignore"):  # per thread, so batch slices may run this at once
         for lo in range(0, flat_x.size, _ERF_F32_BLOCK):
             xb = flat_x[lo:lo + _ERF_F32_BLOCK]
-            t, sb = flat_cdf[lo:lo + xb.size], s[:xb.size]
-            np.multiply(xb, xb, out=sb)
-            _horner(_PHI_F32_POLY, sb, t)
-            t *= xb
-            np.tanh(t, out=t)
-            t *= 0.5
-            t += 0.5
+            hi = lo + xb.size
+            t = scratch[:xb.size] if phi is None else phi[lo:hi]
+            if f32:
+                sb = s[:xb.size]
+                np.multiply(xb, xb, out=sb)
+                _horner(_PHI_F32_POLY, sb, t)
+                t *= xb
+                np.tanh(t, out=t)
+                t *= 0.5
+                t += 0.5
+            else:
+                np.multiply(xb, _INV_SQRT2, out=t)
+                erf(t, out=t)
+                t += 1.0
+                t *= 0.5
             if times_x:
-                np.multiply(t, xb, out=flat_y[lo:lo + xb.size])
+                np.multiply(t, xb, out=flat_y[lo:hi])
     return (y, cdf) if keep_cdf else y
 
 
-def gelu(x: np.ndarray, *, keep_cdf: bool = False):
+def gelu(x: np.ndarray, *, keep_cdf: bool = False, out: Optional[np.ndarray] = None):
     """GeLU x * Phi(x) with the exact normal CDF (not the tanh approximation).
 
     f64 uses scipy's erf.  f32 uses the degree-6 tanh form of Phi, within
     2.5e-7 of the f64 Phi, so |gelu - f64 gelu| <= 1e-6 * max(1, |x|).  f32
     and f64 keep their dtype; every other dtype runs, and returns, in f64.
-    `x` is not modified.  With `keep_cdf` the result is (gelu, Phi(x)), so
-    that `gelu_backward` reads Phi instead of taking it again.
+    `x` is not modified unless it is `out`.  With `out` the result is written
+    there, with the bits of `gelu(x)`: a C-contiguous, writeable array of the
+    result's shape and dtype, x itself or one sharing no memory with x; any
+    other (a strided view, a read-only array, another dtype, an integer x)
+    is refused, never written through a copy.  With `keep_cdf` the result is
+    (gelu, Phi(x)), so that `gelu_backward` reads Phi instead of taking it
+    again.
     """
-    return _normal_cdf(_as_float(x), times_x=True, keep_cdf=keep_cdf)
+    return _normal_cdf(_as_float(x), times_x=True, keep_cdf=keep_cdf, out=out)
 
 
 def gelu_backward(x: np.ndarray, grad_out: np.ndarray,

@@ -2,12 +2,13 @@
 
 Feature maps are plain numpy arrays in (batch, channels, height, width)
 layout, contiguous row-major, f32 for model execution and f64 for gradient
-checking.  Operations here never mutate their inputs.
+checking.  Operations here never mutate their inputs, except where a caller
+hands one in as `out=`, the array to write the result into.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -74,8 +75,39 @@ def randn(shape: Sequence[int], rng: Rng, mean: float = 0.0, std: float = 1.0,
     return out.astype(resolve_dtype(dtype))
 
 
-def add(a: np.ndarray, b) -> np.ndarray:
-    """Elementwise a + b; b may be a tensor of equal shape or a scalar."""
+def check_out(out, shape, dtype, src: Optional[np.ndarray] = None) -> np.ndarray:
+    """Refuse an `out=` array that a kernel cannot write its result straight into.
+
+    `out` must be a C-contiguous, writeable ndarray of the result's shape and
+    dtype, so that flat views of it are views and nothing is written into a
+    copy or cast on the way.  With `src`, the input of a kernel that writes
+    its result block by block, `out` must be src's own memory (same start,
+    layout and dtype) or share none of it: a partial overlap would feed the
+    kernel values it has already overwritten.
+    """
+    if not isinstance(out, np.ndarray):
+        raise TypeError(f"out must be a numpy array, got {type(out).__name__}")
+    if out.shape != tuple(shape):
+        raise ShapeError(f"out shape {out.shape} != result shape {tuple(shape)}")
+    if out.dtype != dtype:
+        raise ValueError(f"out dtype {out.dtype} != result dtype {np.dtype(dtype)}")
+    if not out.flags.c_contiguous or not out.flags.writeable:
+        raise ValueError("out must be a C-contiguous, writeable array")
+    if src is not None and np.may_share_memory(out, src) and not (
+            src.flags.c_contiguous and src.shape == out.shape and src.dtype == out.dtype
+            and src.ctypes.data == out.ctypes.data):
+        raise ValueError("out must be the input itself or share no memory with it")
+    return out
+
+
+def add(a: np.ndarray, b, *, out=None) -> np.ndarray:
+    """Elementwise a + b; b may be a tensor of equal shape or a scalar.
+
+    With `out` (see `check_out`; a or b itself, or an array sharing no memory
+    with them) the sum is written there and returned, with the bits of `a + b`.
+    """
     if isinstance(b, np.ndarray) and a.shape != b.shape:
         raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
-    return a + b
+    if out is None:
+        return a + b
+    return np.add(a, b, out=check_out(out, a.shape, np.result_type(a, b)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rapidnet.blocks import MIXER_MODES
+from rapidnet.ops import BatchNorm2d
 from rapidnet.tensor import Rng
 
 
@@ -118,10 +119,12 @@ ABLATION_FLAGS = st.fixed_dictionaries({
 })
 
 
-def randomize_bn_stats(model, seed=0):
-    """Give every BN layer non-trivial statistics and affine parameters."""
+def randomize_bn_stats(net, seed=0):
+    """Give every BN layer of a model or a block non-trivial statistics and affine parameters."""
     rng = Rng(seed)
-    for bn in model.iter_batchnorms():
+    bns = (net.iter_batchnorms() if hasattr(net, "iter_batchnorms")
+           else (layer for _, layer in net.named_layers() if isinstance(layer, BatchNorm2d)))
+    for bn in bns:
         c = bn.channels
         bn.running_mean[:] = rng.normal((c,), std=0.2, dtype=bn.running_mean.dtype)
         bn.running_var[:] = rng.uniform((c,), 0.5, 1.5, dtype=bn.running_var.dtype)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -105,7 +106,8 @@ class TestBenchCase:
         assert all(t > 0 for t in result.round_times_ns)
         data = json.loads(result.to_json_line())
         assert list(data) == ["label", "shape", "macs", "round_times_ns", "trimmed_mean_ns",
-                              "median_ns", "min_ns", "threads", "workers", "melems_per_s"]
+                              "median_ns", "min_ns", "threads", "workers", "melems_per_s",
+                              "peak_alloc_mb"]
         assert data["threads"] == blas_threads()
         assert data["workers"] is None  # an op case runs no batch slices
         assert data["melems_per_s"] is None  # a conv case counts MACs instead
@@ -115,6 +117,17 @@ class TestBenchCase:
         result = bench_case("gelu", (2, 4, 8, 8), proto)
         assert (result.label, result.macs, result.workers) == ("gelu", 0, None)
         assert result.melems_per_s == 2 * 4 * 8 * 8 * 3 / result.median_ns * 1e3
+
+    @pytest.mark.parametrize("case, shape, out_bytes", [
+        ("gelu", (2, 4, 8, 8), 2 * 4 * 8 * 8 * 4),
+        ("dilated3x3", (1, 4, 8, 8), 1 * 4 * 8 * 8 * 4),
+        ("model", (2, 3, 32, 32), 2 * 8 * 4),
+    ])
+    def test_peak_alloc_counts_the_call(self, case, shape, out_bytes):
+        # at least the result the call allocates, far below a 224 px model
+        result = bench_case(case, shape, FAST, variant="micro")
+        assert out_bytes <= result.peak_alloc_mb * 1e6 < 16e6
+        assert not tracemalloc.is_tracing()
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_model_workers_are_the_slices_that_ran(self, n):

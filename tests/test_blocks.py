@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import layers
+from conftest import layers, randomize_bn_stats
+from rapidnet import blocks as blocks_mod
 from rapidnet.blocks import (
     DISCARD,
     DilatedConvBlock,
@@ -250,3 +253,55 @@ class TestTape:
         block = MldcBlock(4)
         block.forward(rng.normal((2, 4, 6, 6)), tape)
         assert list(vars(block)) == ["plan"]
+
+
+class TestInPlace:
+    """A forward that records nothing writes each post-op into the buffer it
+    consumes, with the bits of the forward that allocates every result, and
+    never writes into the block's input."""
+
+    @pytest.mark.parametrize("factory, shape", [
+        (lambda r, dt: StemBlock(3, 4, rng=r, dtype=dt), (2, 3, 8, 8)),
+        (lambda r, dt: InvertedResidualBlock(6, rng=r, dtype=dt), (2, 6, 9, 7)),
+        (lambda r, dt: DownsampleBlock(4, 6, rng=r, dtype=dt), (2, 4, 4, 4)),
+        (lambda r, dt: MldcBlock(4, rng=r, dtype=dt), (2, 4, 6, 6)),
+        (lambda r, dt: MldcBlock(4, gelu_per_branch=True, mixer_mode="sldc", rng=r, dtype=dt),
+         (2, 4, 6, 6)),
+        (lambda r, dt: MldcBlock(4, use_cpe=False, mixer_mode="conv3x3", rng=r, dtype=dt),
+         (2, 4, 6, 6)),
+        (lambda r, dt: LkFfnBlock(4, rng=r, dtype=dt), (2, 4, 6, 6)),
+        (lambda r, dt: HeadBlock(4, 3, hidden=5, rng=r, dtype=dt), (2, 4, 3, 3)),
+    ], ids=["stem", "irb", "down", "mldc", "sldc_gelu_per_branch", "conv3x3_no_cpe", "lkffn",
+            "head"])
+    @pytest.mark.parametrize("tape", [None, DISCARD], ids=["eval", "discard"])
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_bitwise_the_forward_that_allocates(self, factory, shape, tape, dt, monkeypatch):
+        x = Rng(7).normal(shape, std=2.0, dtype=dt)
+        x0 = x.copy()
+        pair = [factory(Rng(5), dt) for _ in range(2)]
+        for block in pair:
+            randomize_bn_stats(block, 6)
+        got = pair[0].forward(x, tape)
+        with monkeypatch.context() as m:
+            for name in ("conv2d", "batchnorm_forward", "gelu", "add"):
+                fn = getattr(blocks_mod, name)
+                m.setattr(blocks_mod, name, lambda *a, _fn=fn, out=None, **kw: _fn(*a, **kw))
+            want = pair[1].forward(x, tape)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(x, x0)
+        bufs = [[buf for _, buf in b.named_buffers()] for b in pair]
+        assert all(np.array_equal(a, b) for a, b in zip(*bufs))
+
+    def test_irb_eval_forward_peak_is_input_plus_hidden(self):
+        # ti's stage-1 IRB on a 4-image slice at 224 px: the 4x hidden map is
+        # expanded, normalized, activated and convolved in one buffer
+        block = InvertedResidualBlock(32, rng=Rng(0))
+        x = Rng(1).normal((4, 32, 56, 56))
+        block.forward(x)
+        tracemalloc.start()
+        try:
+            block.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (x.nbytes + 4 * x.nbytes)

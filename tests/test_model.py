@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import os
 import signal
 import sys
@@ -6,6 +7,7 @@ import threading
 import time
 import warnings
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from rapidnet.model import (
     default_config,
 )
 from rapidnet.ops import Param, softmax_cross_entropy
-from rapidnet.reparam import recalibrate_bn
+from rapidnet.reparam import fuse_model, recalibrate_bn
 from rapidnet.tensor import Rng
 
 
@@ -240,6 +242,32 @@ class TestTape:
                    zip(model.iter_buffers(), twin.iter_buffers()))
         with pytest.raises(StateError):
             model.backward(grad)
+
+    @pytest.mark.parametrize("variant, size, dtype", [
+        ("micro", 32, "f32"), ("micro", 32, "f64"), ("ti", 64, "f32")])
+    def test_recorded_arrays_are_never_overwritten(self, variant, size, dtype):
+        # a recording forward allocates every result: each array on the tape
+        # still holds, at the end of the forward, the bits it was appended
+        # with, so backward reads what it always read
+        def digests(entry):
+            if isinstance(entry, np.ndarray):
+                return [hashlib.sha256(entry.tobytes()).hexdigest()]
+            return [d for part in (entry or ()) for d in digests(part)]
+
+        class HashingTape(list):
+            def __init__(self):
+                super().__init__()
+                self.appended = []
+
+            def append(self, entry):
+                super().append(entry)
+                self.appended.append(digests(entry))
+
+        model = build_model(default_config(variant), dtype)
+        h, tape = Rng(2).normal((2, 3, size, size), dtype=model.dtype), HashingTape()
+        for _, block in model.named_blocks():
+            h = block.forward(h, tape)
+        assert len(tape) > 10 and [digests(e) for e in tape] == tape.appended
 
     def test_failed_train_forward_drops_the_last_tape(self, monkeypatch):
         model, grad = self.trained_forward()
@@ -497,6 +525,34 @@ def bn_state(model) -> list:
 def changed(before: dict, after: dict) -> set:
     assert before.keys() == after.keys()
     return {k for k in before if before[k][0] is not after[k][0] or before[k][1] != after[k][1]}
+
+
+class TestInputUntouched:
+    """No forward writes into the caller's x: batch slices are views of it, and
+    each block's first stage, identity skip and residual read its input."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        nets = {}
+        for variant in ("micro", "ti"):
+            for dtype in ("f32", "f64"):
+                net = build_model(default_config(variant), dtype)
+                nets[variant, False, dtype], nets[variant, True, dtype] = net, fuse_model(net)[0]
+        return nets
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(["micro", "ti"]), fused=st.booleans(),
+           dtype=st.sampled_from(["f32", "f64"]), mode=st.sampled_from(["eval", "train", "discard"]),
+           n=st.integers(1, 4), cpus=st.sampled_from([1, 2]))
+    def test_forward_leaves_x_bitwise_unchanged(self, models, variant, fused, dtype, mode, n,
+                                                cpus):
+        model = models[variant, fused, dtype]
+        model.set_mode("eval" if mode == "eval" else "train")
+        x = Rng(n).normal((n, 3, 64, 64), std=2.0, dtype=model.dtype)
+        before = x.tobytes()
+        with mock.patch.object(model_mod, "_usable_cpus", lambda: cpus):
+            model.forward(x, record=mode != "discard")
+        assert x.tobytes() == before
 
 
 class TestBatchNormWrites:

@@ -32,7 +32,7 @@ from rapidnet.ops import (
     out_shape,
     softmax_cross_entropy,
 )
-from rapidnet.tensor import Rng
+from rapidnet.tensor import Rng, add
 
 
 def make_conv(c_in, c_out, k, rng=None, **kw):
@@ -953,6 +953,161 @@ class TestGeluF32:
         flat = np.ascontiguousarray(x).reshape(-1)
         parts = [gelu(flat[i:i + 1000]) for i in range(0, flat.size, 1000)]
         assert np.array_equal(gelu(flat), np.concatenate(parts))
+
+
+def in_place_specials(dt):
+    """NaN, +-inf, signed zeros and subnormals of dtype dt."""
+    tiny = float(np.finfo(dt).smallest_subnormal)
+    return np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 7 * tiny,
+                     1e3 * tiny, -1e3 * tiny], dtype=dt)
+
+
+def in_place_bn(c, dt, seed=0):
+    rng = Rng(seed)
+    bn = BatchNorm2d.create(c, dtype=dt)
+    bn.gamma.value[:] = rng.uniform((c,), 0.5, 1.5, dtype=dt)
+    bn.beta.value[:] = rng.normal((c,), dtype=dt)
+    bn.running_mean[:] = rng.normal((c,), dtype=dt)
+    bn.running_var[:] = rng.uniform((c,), 0.5, 2.0, dtype=dt)
+    return bn
+
+
+# (name, call(x, out)) of every kernel with an `out=` form, on (2, 6, 9, 9) inputs
+IN_PLACE_KERNELS = [
+    ("gelu", lambda x, out: gelu(x, out=out)),
+    ("bn_eval", lambda x, out: batchnorm_forward(x, in_place_bn(6, x.dtype), out=out)),
+    ("bn_train", lambda x, out: batchnorm_forward(x, in_place_bn(6, x.dtype), True, out=out)),
+    ("dw_conv", lambda x, out: conv2d(x, make_conv(6, 6, 3, padding=1, groups=6, rng=Rng(1),
+                                                   dtype=x.dtype), out=out)),
+    ("dense_conv", lambda x, out: conv2d(x, make_conv(6, 6, 3, padding=2, dilation=2,
+                                                      rng=Rng(1), dtype=x.dtype), out=out)),
+    ("add", lambda x, out: add(x, np.flip(x), out=out)),
+]
+
+
+class TestInPlace:
+    """Each kernel's `out=` form, written over its own input, gives the bits of
+    the call that allocates; an `out` it cannot write straight into (strided,
+    read-only, another dtype or shape) is refused with the input untouched,
+    never written through a copy."""
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [0, ops._ERF_F32_BLOCK - 1, ops._ERF_F32_BLOCK + 1])
+    def test_gelu_over_its_input(self, dt, size):
+        x = np.random.default_rng(size).standard_normal(size).astype(dt) * 4
+        sp = in_place_specials(dt)
+        for at in (0, size // 2, size - len(sp)):  # the ends and a block edge
+            if size:
+                x[at:at + len(sp)] = sp
+        with np.errstate(invalid="ignore"):
+            want = gelu(x)
+            got = gelu(x, out=x)
+        assert got is x and same_bits(x, want)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_gelu_into_another_array_keeps_phi(self, dt):
+        x = Rng(3).normal((2, 3, 5, 7), std=3.0, dtype=dt)
+        x0, out = x.copy(), np.empty_like(x)
+        y, cdf = gelu(x, keep_cdf=True, out=out)
+        assert y is out and same_bits(out, gelu(x0)) and same_bits(cdf, ops._normal_cdf(x0))
+        assert same_bits(x, x0)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_batchnorm_over_its_input(self, dt, train):
+        x = Rng(4).normal((3, 5, 4, 6), std=2.0, dtype=dt)
+        want_bn, bn = in_place_bn(5, dt), in_place_bn(5, dt)
+        want = batchnorm_forward(x, want_bn, train)
+        got = batchnorm_forward(x, bn, train, out=x)
+        assert np.shares_memory(got, x) and same_bits(x, want)
+        for a, b in zip(want_bn.named_buffers(), bn.named_buffers()):
+            assert same_bits(a[1], b[1])
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [3, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dw_conv_over_its_input_across_channel_blocks(self, dt, k, d):
+        n, c, size = 4, 40, 28
+        p = d * (k - 1) // 2
+        rng = Rng(10 * k + d)
+        x = rng.normal((n, c, size, size), dtype=dt)
+        w = rng.normal((c, k, k), dtype=dt)
+        assert ops._dw_plan(x.shape, k, p, d, dt).per_block < c  # several blocks
+        want = ops._dw_conv(x, w, p, d)
+        assert ops._dw_conv(x, w, p, d, out=x) is x
+        assert same_bits(x, want)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("kw", [dict(k=3, padding=1, groups=8, bias=True),
+                                    dict(k=3, padding=2, dilation=2),
+                                    dict(k=1, groups=8),
+                                    dict(k=1)],
+                             ids=["depthwise", "dense_dilated", "depthwise_1x1", "pointwise"])
+    def test_conv2d_over_its_input(self, dt, kw):
+        kw = dict(kw)
+        conv = make_conv(8, 8, kw.pop("k"), rng=Rng(2), dtype=dt, **kw)
+        if conv.bias is not None:
+            conv.bias.value[:] = Rng(3).normal((8,), dtype=dt)
+        x = Rng(5).normal((3, 8, 10, 10), dtype=dt)
+        want = conv2d(x, conv)
+        assert conv2d(x, conv, out=x) is x
+        assert same_bits(x, want)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    def test_add_into_either_operand(self, dt):
+        a, b = (Rng(s).normal((2, 3, 4, 5), dtype=dt) for s in (1, 2))
+        want = a + b
+        for target in ("a", "b"):
+            x, y = a.copy(), b.copy()
+            got = add(x, y, out=x if target == "a" else y)
+            assert same_bits(got, want) and got is (x if target == "a" else y)
+
+    @pytest.mark.parametrize("name, call", IN_PLACE_KERNELS, ids=[n for n, _ in IN_PLACE_KERNELS])
+    @pytest.mark.parametrize("bad", ["strided", "fortran", "read_only", "other_dtype",
+                                     "other_shape"])
+    def test_refuses_an_out_it_cannot_write(self, name, call, bad):
+        values = Rng(6).normal((2, 6, 9, 9), dtype=np.float32)
+        if bad == "strided":
+            x = np.zeros((2, 6, 9, 18), np.float32)[..., ::2]
+            x[...] = values
+            out = x
+        elif bad == "fortran":
+            x = out = np.asfortranarray(values)
+        elif bad == "read_only":
+            x = out = values.copy()
+            x.setflags(write=False)
+        elif bad == "other_dtype":
+            x, out = values.copy(), values.astype(np.float64)
+        else:
+            x, out = values.copy(), np.zeros((2, 6, 9, 8), np.float32)
+        x0, out0 = x.copy(), out.copy()
+        with pytest.raises(ValueError):
+            call(x, out)
+        assert same_bits(x, x0) and same_bits(out, out0)
+
+    @pytest.mark.parametrize("name", ["gelu", "dw_conv", "dense_conv"])
+    @pytest.mark.parametrize("shift", [1, 6 * 9 * 9])  # one element, one sample
+    def test_refuses_an_out_that_overlaps_its_input_in_part(self, name, shift):
+        # these kernels write block by block, so a shifted out would feed them
+        # values they have already overwritten
+        call = dict(IN_PLACE_KERNELS)[name]
+        size = 2 * 6 * 9 * 9
+        buf = np.zeros(size + shift, np.float32)
+        buf[:size] = Rng(6).normal((size,), dtype=np.float32)
+        x, out = buf[:size].reshape(2, 6, 9, 9), buf[shift:].reshape(2, 6, 9, 9)
+        buf0 = buf.copy()
+        with pytest.raises(ValueError, match="share no memory"):
+            call(x, out)
+        assert same_bits(buf, buf0)
+
+    @pytest.mark.parametrize("dt", [np.int32, np.float16])
+    def test_gelu_refuses_an_input_it_converts(self, dt):
+        # other dtypes run in f64, so x itself cannot hold the result
+        x = np.arange(-3, 3).astype(dt)
+        x0 = x.copy()
+        with pytest.raises(ValueError):
+            gelu(x, out=x)
+        assert np.array_equal(x, x0) and gelu(x).dtype == np.float64
 
 
 # Run the f32 paths of the package in a fresh interpreter, then an f64 GeLU;
