@@ -20,7 +20,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
-from .blocks import Parallel, Stage, item_stages
+from .blocks import Stage
 from .errors import GeometryError
 from .model import ModelConfig, RapidNetModel, build_model
 from .ops import BatchNorm2d, Conv2dLayer, LinearLayer, effective_kernel, out_shape
@@ -136,13 +136,10 @@ class _Trace:
 
 def _trace_block(tr: _Trace, name: str, block, c: int, h: int, w: int) -> Tuple[int, int, int]:
     """Append the block's layer costs for a (c, h, w) input; returns the output dims."""
-    for item in block.plan:
-        if isinstance(item, Parallel):
-            outs = [tr.stage(f"{name}.", st, c, h, w) for st in item.stages]
-            c, h, w = outs[0]
-            tr.elementwise += (len(outs) - 1 + item.act) * c * h * w  # branch sum, GeLU
-        else:
-            c, h, w = tr.stage(f"{name}.", item, c, h, w)
+    for group in block.plan:
+        outs = [tr.stage(f"{name}.", st, c, h, w) for st in group.stages]
+        c, h, w = outs[0]
+        tr.elementwise += (len(outs) - 1 + group.act) * c * h * w  # branch sum, GeLU
     if block.residual:
         tr.elementwise += c * h * w
     return c, h, w
@@ -194,8 +191,8 @@ def composite_rf(model: RapidNetModel) -> int:
     """
     chain = []
     for _, block in model.named_blocks():
-        for item in block.plan:
-            convs = [st.conv for st in item_stages(item) if isinstance(st.conv, Conv2dLayer)]
+        for group in block.plan:
+            convs = [st.conv for st in group.stages if isinstance(st.conv, Conv2dLayer)]
             if convs:
                 widest = max(convs, key=lambda c: layer_trf(c.kernel_size, c.dilation))
                 chain.append((widest.kernel_size, widest.dilation, widest.stride))

@@ -3,10 +3,12 @@ multi-level dilated convolution (MLDC) block, large-kernel FFN, and the
 classifier head.
 
 Each block's constructor builds its layers once, straight into an ordered
-stage plan stored as `block.plan`: `Stage` records (a conv, linear or
-pooling layer, then an optional BN and GeLU, with an optional identity skip
-around the conv) and `Parallel` groups whose branch outputs are summed under
-one optional GeLU.  No layer is held anywhere else.  A class-level
+stage plan stored as `block.plan`.  Every plan item is a `Parallel` group:
+`Stage` records over one input (a conv, linear or pooling layer, then an
+optional BN and GeLU, with an optional identity skip around the conv) whose
+outputs are summed under one optional GeLU.  A constructor may list a lone
+stage; the plan holds it as a group of one branch and no GeLU, so every
+walker handles one item type.  No layer is held anywhere else.  A class-level
 `residual` flag adds the block input to the plan's output.  The plan drives
 the generic forward and backward below as well as parameter naming, BN and
 skip fusion (`reparam` swaps in a rewritten plan) and cost and
@@ -26,8 +28,8 @@ exactly what backward reads.  Each stage pushes (x, y, stats, z, cdf): its
 input x for the conv's (or pooling's) gradient; with a BN, the BN input y
 and its `BatchStats` (batch mean, inv_std = 1 / sqrt(var + eps)); with a
 GeLU, the GeLU input z and Phi(z).  Slots a stage has no layer for hold
-None.  A parallel group with a GeLU pushes its pre-GeLU sum and that sum's
-Phi; one without pushes nothing.  `backward(grad_out, tape)` pops them in
+None.  A group with a GeLU pushes its pre-GeLU sum and that sum's Phi; one
+without pushes nothing.  `backward(grad_out, tape)` pops them in
 reverse, accumulates parameter gradients and returns the gradient w.r.t.
 the block input.  The `DISCARD` tape runs train mode and records nothing,
 for a forward that no backward follows.  Blocks whose BN layers have been
@@ -38,15 +40,17 @@ A forward whose tape records nothing (`None` or `DISCARD`) reuses buffers
 that nothing else reads, through the ops' `out=`, with the bits of a
 forward that allocates every result.  Each stage's BN and GeLU, and its
 identity skip add, overwrite the stage's fresh conv, linear or pooling
-output; a parallel group sums its branches into the first branch's output
-and takes its GeLU there; the residual is added into the plan's output.
-Past the first plan item the input of an item is the plan's own (the
-previous item's output), so a stage whose conv keeps that shape and reads
-it into buffers of its own (the IRB's 3x3 depthwise conv, `_dw_conv`) and
-has no identity skip writes its output over it.  The first item's input is
-never written: it is the caller's array, or a batch slice's view of it,
-and the CPE skip and the block residual read it.  A recording tape
-disables all of this, since it holds those arrays for the backward.
+output; a group sums its branches into the first branch's output and takes
+its GeLU there; the residual is added into the plan's output.  Past the
+first group the input of a group is the plan's own (the previous group's
+output).  A group of one branch hands that input to its stage, so a stage
+whose conv keeps that shape and reads it into buffers of its own (the IRB's
+3x3 depthwise conv, `_dw_conv`) and has no identity skip writes its output
+over it; a wider group's branches all read the same input, so none may.
+The first group's input is never written: it is the caller's array, or a
+batch slice's view of it, and the CPE skip and the block residual read it.
+A recording tape disables all of this, since it holds those arrays for the
+backward.
 """
 
 from __future__ import annotations
@@ -100,14 +104,9 @@ class Parallel(NamedTuple):
     act: bool
 
 
-def item_stages(item) -> List[Stage]:
-    """The stages of one plan item: a group's branches, or the stage itself."""
-    return item.stages if isinstance(item, Parallel) else [item]
-
-
 def stages(plan) -> List[Stage]:
-    """Every stage of a plan in forward order, parallel groups flattened."""
-    return [st for item in plan for st in item_stages(item)]
+    """Every stage of a plan in forward order, groups flattened."""
+    return [st for group in plan for st in group.stages]
 
 
 def _accumulate(layer, r) -> None:
@@ -133,7 +132,7 @@ def _keeps(tape) -> bool:
     return tape is not None and tape is not DISCARD
 
 
-def _stage_forward(st: Stage, x, tape, own: bool = False):
+def _stage_forward(st: Stage, x, tape, own: bool):
     keep = _keeps(tape)
     reuse = not keep  # no tape holds this stage's arrays, so each post-op overwrites them
     if st.conv is None:
@@ -187,10 +186,11 @@ def _stage_backward(st: Stage, grad, tape):
     return r.grad_input + grad if st.skip else r.grad_input
 
 
-def _parallel_forward(group: Parallel, x, tape):
+def _parallel_forward(group: Parallel, x, tape, own: bool):
     reuse = not _keeps(tape)
+    own = own and len(group.stages) == 1  # branches share x: none may write over it
     pre = reduce(lambda a, b: add(a, b, out=a if reuse else None),
-                 [_stage_forward(st, x, tape) for st in group.stages])
+                 [_stage_forward(st, x, tape, own) for st in group.stages])
     if not group.act:
         return pre
     if reuse:
@@ -214,7 +214,9 @@ class _Block:
     input_multiple = 1  # input height and width must be multiples of this
 
     def __init__(self, plan):
-        self.plan = list(plan)  # stages and parallel groups in forward order
+        # groups in forward order; a lone stage is a group of one
+        self.plan = [item if isinstance(item, Parallel) else Parallel([item], False)
+                     for item in plan]
 
     def named_layers(self):
         """(name, layer) for every conv, linear and BN layer, in forward order."""
@@ -245,20 +247,16 @@ class _Block:
             raise GeometryError(f"{type(self).__name__} input resolution "
                                 f"{x.shape[2]}x{x.shape[3]} must be divisible by {m}")
         h = x
-        for i, item in enumerate(self.plan):
-            if isinstance(item, Parallel):
-                h = _parallel_forward(item, h, tape)
-            else:  # past the first item, h is the plan's own: the conv may write over it
-                h = _stage_forward(item, h, tape, own=i > 0)
+        for i, group in enumerate(self.plan):  # past the first group, h is the plan's own
+            h = _parallel_forward(group, h, tape, own=i > 0)
         if not self.residual:
             return h
         return add(x, h, out=None if _keeps(tape) else h)
 
     def backward(self, grad_out: np.ndarray, tape: list) -> np.ndarray:
         g = grad_out
-        for item in reversed(self.plan):
-            step = _parallel_backward if isinstance(item, Parallel) else _stage_backward
-            g = step(item, g, tape)
+        for group in reversed(self.plan):
+            g = _parallel_backward(group, g, tape)
         return grad_out + g if self.residual else g
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -148,31 +149,22 @@ def _verify_gradients() -> List[tuple]:
     results = []
 
     def fd_grad(fn, x, gy, h=1e-5):
+        """Central differences of sum(fn(x) * gy), perturbing x in place and
+        restoring each element bitwise, so x may be an array fn reads itself."""
         loss = lambda t: float(np.sum(fn(t) * gy))
         g = np.zeros_like(x)
         it = np.nditer(x, flags=["multi_index"])
         while not it.finished:
             i = it.multi_index
-            x[i] += h
+            old = x[i]
+            x[i] = old + h
             up = loss(x)
-            x[i] -= 2 * h
+            x[i] = old - h
             down = loss(x)
-            x[i] += h
+            x[i] = old
             g[i] = (up - down) / (2 * h)
             it.iternext()
         return g
-
-    def fd_param(param, fn, gy):
-        """fd_grad w.r.t. a Param's value, with fn() reading the param."""
-        value = param.value
-
-        def with_value(v):
-            param.value = v
-            return fn()
-
-        num = fd_grad(with_value, value.copy(), gy)
-        param.value = value
-        return num
 
     def rel_err(ana, num):
         return float(np.max(np.abs(ana - num)) / max(np.max(np.abs(num)), 1e-8))
@@ -196,7 +188,7 @@ def _verify_gradients() -> List[tuple]:
         gy = rng.normal(conv2d(x, conv).shape, dtype=np.float64)
         r = conv2d_backward(x, conv, gy)
         num_x = fd_grad(lambda t: conv2d(t, conv), x.copy(), gy)
-        num_w = fd_param(conv.weight, lambda: conv2d(x, conv), gy)
+        num_w = fd_grad(lambda _: conv2d(x, conv), conv.weight.value, gy)
         for part, ana, num in (("input", r.grad_input, num_x),
                                ("weight", r.grad_params["weight"], num_w)):
             err = rel_err(ana, num)
@@ -212,7 +204,7 @@ def _verify_gradients() -> List[tuple]:
     errs = [rel_err(r.grad_input,
                     fd_grad(lambda t: batchnorm_forward(t, bn, train=True), x.copy(), gy))]
     for name, param in bn.named_params():
-        num = fd_param(param, lambda: batchnorm_forward(x, bn, train=True), gy)
+        num = fd_grad(lambda _: batchnorm_forward(x, bn, train=True), param.value, gy)
         errs.append(rel_err(r.grad_params[name], num))
     err = max(errs)
     results.append(("grad batchnorm input/gamma/beta (train, batch 2)", err, err < 1e-5))
@@ -333,14 +325,14 @@ def cmd_train_toy(args) -> int:
 def cmd_infer(args) -> int:
     model = weights_io.load(args.model)
     shape = args.shape
-    itemsize = np.dtype(model.dtype).itemsize
-    expected = int(np.prod(shape)) * itemsize
+    expected = math.prod(shape) * np.dtype(model.dtype).itemsize  # exact: no int64 wrap
     with open(args.input, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:  # refused before a byte is read
+            print(f"error: input file has {size} bytes, expected {expected} "
+                  f"for shape {shape} ({np.dtype(model.dtype).name})", file=sys.stderr)
+            return USAGE_ERROR
         raw = fh.read()
-    if len(raw) != expected:
-        print(f"error: input file has {len(raw)} bytes, expected {expected} "
-              f"for shape {shape} ({np.dtype(model.dtype).name})", file=sys.stderr)
-        return USAGE_ERROR
     le = np.dtype(model.dtype).newbyteorder("<")
     x = np.frombuffer(raw, dtype=le).reshape(shape).astype(model.dtype)
     logits = model.forward(x)
@@ -473,7 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.fn(args)
-    except (ConfigError, GeometryError, ShapeError, ValueError) as exc:
+    except (ConfigError, GeometryError, ShapeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (CheckpointError, TrainingDiverged, OSError) as exc:

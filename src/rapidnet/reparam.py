@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .blocks import Parallel, Stage, stages
+from .blocks import Stage, stages
 from .errors import FusionError, ShapeError, StateError
 from .model import RapidNetModel
 from .ops import BatchNorm2d, Conv2dLayer, LinearLayer
@@ -118,9 +118,8 @@ def _fuse_block(block, fuse_conv=_folded_conv):
         return st._replace(conv=fuse_conv(st), bn=None, skip=False)
 
     out = copy.copy(block)
-    out.plan = [item._replace(stages=[fuse_stage(st) for st in item.stages])
-                if isinstance(item, Parallel) else fuse_stage(item)
-                for item in block.plan]
+    out.plan = [group._replace(stages=[fuse_stage(st) for st in group.stages])
+                for group in block.plan]
     return out
 
 

@@ -79,22 +79,22 @@ class SyntheticDataset:
 
     Labels are 0..3 for (top-left, top-right, bottom-left, bottom-right),
     perfectly determined by the image, so the task is learnable by
-    construction.  Each blob has a standard deviation of 3 pixels; `noise`
-    is the standard deviation of the Gaussian background.  Deterministic for
-    a fixed seed.
+    construction.  Each blob has a standard deviation of 3 pixels, over a
+    Gaussian background of standard deviation `NOISE` (0.02).  Deterministic
+    for a fixed seed.
     """
 
     num_classes = 4
+    NOISE = 0.02
 
-    def __init__(self, n_samples: int, seed: int = 0, image_size: int = 32,
-                 noise: float = 0.02):
+    def __init__(self, n_samples: int, seed: int = 0, image_size: int = 32):
         if image_size % 32 != 0:
             raise ValueError(f"image_size {image_size} must be a multiple of 32")
         self.seed = seed
         rng = Rng(seed)
         half = image_size // 2
         margin = 2
-        images = rng.normal((n_samples, 3, image_size, image_size), std=noise,
+        images = rng.normal((n_samples, 3, image_size, image_size), std=self.NOISE,
                             dtype=np.float32)
         labels = []
         yy, xx = np.mgrid[0:image_size, 0:image_size]

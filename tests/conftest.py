@@ -22,7 +22,11 @@ def rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
 
 
 def fd_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function, element by element."""
+    """Central finite-difference gradient of a scalar function, element by element.
+
+    Each element of x is perturbed in place and restored bitwise, so x may be
+    an array that loss_fn reads itself, such as a parameter's value.
+    """
     g = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:

@@ -10,7 +10,7 @@ from conftest import (
     rewrite_config,
     widen_stage4,
 )
-from rapidnet import reparam
+from rapidnet import cli, reparam
 from rapidnet.cli import main
 from rapidnet.reparam import count_batchnorms
 from rapidnet.tensor import Rng
@@ -81,6 +81,27 @@ class TestBuild:
         code, _, err = run(["build", "--variant", "micro", "--dilations", "3,2",
                             "--out", str(tmp_path / "x")], capsys)
         assert code == 1
+
+
+class TestUnallocatable:
+    # Each request's first array lies between 128 PiB (2**57 bytes) and 8 EiB
+    # (2**63): past any host's address space, so numpy raises MemoryError
+    # without mapping a page.  10**18 classes overflow numpy's byte count
+    # instead, a ValueError.  Both are one error line and exit 1.
+    @pytest.mark.parametrize("argv", [
+        ["build", "--variant", "micro", "--classes", str(2 ** 52)],    # (2**52, 32) f64: 1 EiB
+        ["build", "--variant", "micro", "--mixer-kernel", str(2 ** 24 + 1)],  # 1.1 EiB
+        ["build", "--variant", "micro", "--classes", str(10 ** 18)],   # too big for numpy
+        ["train-toy", "--samples", str(2 ** 46), "--steps", "1"],      # 1.5 EiB
+    ], ids=["classes", "mixer_kernel", "classes_too_big", "samples"])
+    def test_one_error_line_exit_one(self, argv, tmp_path, capsys):
+        out_path = tmp_path / "m.rpdn"
+        if argv[0] == "build":
+            argv = argv + ["--out", str(out_path)]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 class TestAnalyze:
@@ -295,6 +316,40 @@ class TestInferExport:
         code, _, _ = run(["infer", "--model", str(checkpoint), "--input", str(raw),
                           "--shape", "1,3,32,32"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("shape, expected", [
+        ("4294967296,4294967296,1,1", 4 * 2 ** 64),  # the int64 product wraps to 0
+        ("4611686018427387904,3,1,1", 4 * 3 * 2 ** 62),  # the int64 byte count goes negative
+    ])
+    def test_infer_huge_shape_refused_unread(self, shape, expected, checkpoint, tmp_path,
+                                             capsys, monkeypatch):
+        raw = tmp_path / "empty.bin"
+        raw.write_bytes(b"")
+
+        class Unread:
+            """The input file, with its size readable and its contents not."""
+
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def read(self, *args):
+                raise AssertionError("the input file was read")
+
+        monkeypatch.setattr(cli, "open", Unread, raising=False)
+        code, out, err = run(["infer", "--model", str(checkpoint), "--input", str(raw),
+                              "--shape", shape], capsys)
+        assert code == 1 and out == ""
+        assert f"has 0 bytes, expected {expected} " in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_infer_three_dim_shape_exits_one(self, checkpoint, tmp_path, capsys):
         raw = tmp_path / "input.bin"

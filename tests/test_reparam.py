@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import ABLATION_FLAGS, randomize_bn_stats
 from rapidnet.analysis import report as analysis_report
-from rapidnet.blocks import MldcBlock
+from rapidnet.blocks import MldcBlock, Parallel, Stage, stages
 from rapidnet.errors import FusionError, ShapeError, StateError
 from rapidnet.model import build_model, default_config
 from rapidnet.ops import BatchNorm2d, Conv2dLayer, batchnorm_forward, conv2d
@@ -17,6 +17,7 @@ from rapidnet.reparam import (
     count_batchnorms,
     fold_bn_into_conv,
     fuse_identity_into_dw,
+    fuse_model,
     recalibrate_bn,
     reparameterize_model,
 )
@@ -88,8 +89,9 @@ class TestRecalibrate:
         recalibrate_bn(model, x)
         assert model.mode == "eval"
         stem = dict(model.named_blocks())["stem"]
-        y = conv2d(x, stem.plan[0].conv)
-        assert np.allclose(stem.plan[0].bn.running_mean, y.mean(axis=(0, 2, 3)), atol=1e-12)
+        conv1 = stem.plan[0].stages[0]
+        y = conv2d(x, conv1.conv)
+        assert np.allclose(conv1.bn.running_mean, y.mean(axis=(0, 2, 3)), atol=1e-12)
         for bn in model.iter_batchnorms():
             assert "momentum" not in vars(bn) and bn.momentum == 0.1
 
@@ -255,3 +257,38 @@ class TestModelReparam:
             prefixes = [name.rsplit(".", 1)[0] for name, _ in net.iter_params()]
             layers = [layer.name for layer in analysis_report(cfg, 64, model=net).layers]
             assert layers == list(dict.fromkeys(prefixes))
+
+
+def assert_plans_are_groups(model):
+    """Every plan item of the model and of its fusion is a group of stages;
+    `stages` yields the conv and linear layers in `named_layers` order; fusion
+    keeps each group's branch count and GeLU."""
+    fused, _, _ = fuse_model(model)
+    for (name, blk), (_, fblk) in zip(model.named_blocks(), fused.named_blocks()):
+        for net_blk in (blk, fblk):
+            assert all(isinstance(g, Parallel) for g in net_blk.plan), name
+            assert all(isinstance(st, Stage) for st in stages(net_blk.plan)), name
+            named = [n for n, layer in net_blk.named_layers() if not isinstance(layer, BatchNorm2d)]
+            assert [st.name for st in stages(net_blk.plan) if st.conv is not None] == named
+        assert ([(len(g.stages), g.act) for g in fblk.plan]
+                == [(len(g.stages), g.act) for g in blk.plan]), name
+
+
+class TestPlanGroups:
+    @pytest.mark.parametrize("variant", ["ti", "micro"])
+    def test_every_plan_item_is_a_group(self, variant):
+        assert_plans_are_groups(build_model(default_config(variant), init=False))
+
+    @settings(max_examples=16, derandomize=True, deadline=None)
+    @given(ABLATION_FLAGS)
+    def test_ablation_plans_are_groups(self, flags):
+        assert_plans_are_groups(build_model(replace(default_config("micro"), **flags)))
+
+    def test_only_the_mixer_has_two_branches(self):
+        # a lone stage is a group of one branch and no GeLU
+        model = build_model(default_config("micro"), init=False)
+        widths = {f"{name}.{g.stages[0].name}": (len(g.stages), g.act)
+                  for name, blk in model.named_blocks() for g in blk.plan}
+        wide = {k: v for k, v in widths.items() if v != (1, False)}
+        assert wide == {k: (2, True) for k in widths if k.endswith(".mldc.branch_a")}
+        assert wide

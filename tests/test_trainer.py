@@ -84,8 +84,9 @@ class TestSyntheticDataset:
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_labels_match_blob_quadrant(self):
-        ds = SyntheticDataset(32, seed=4, noise=0.0)
+    def test_labels_match_blob_quadrant(self, monkeypatch):
+        monkeypatch.setattr(SyntheticDataset, "NOISE", 0.0)
+        ds = SyntheticDataset(32, seed=4)
         half = ds.images.shape[2] // 2
         for img, label in zip(ds.images, ds.labels):
             cy, cx = np.unravel_index(np.argmax(img[0]), img[0].shape)
