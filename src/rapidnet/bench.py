@@ -1,10 +1,10 @@
 """Micro-benchmark harness with a trimmed-measurement protocol.
 
-Each case runs `iters_per_round` forward passes per timed round, for
-`rounds` rounds after a warm-up; the `trim` lowest and highest round times
-are discarded before averaging.  Wall-clock numbers are reported, never
-asserted: host variance cannot support hard thresholds.  The MAC
-annotations, by contrast, are exact and shared with the analysis module.
+Each case runs `iters_per_round` calls (forward passes, or train steps)
+per timed round, for `rounds` rounds after a warm-up; the `trim` lowest and
+highest round times are discarded before averaging.  Wall-clock numbers are
+reported, never asserted: host variance cannot support hard thresholds.  The
+MAC annotations, by contrast, are exact and shared with the analysis module.
 After the rounds, one more untimed call runs under `tracemalloc`, so a case's
 memory shows next to its time.
 """
@@ -23,11 +23,13 @@ from .analysis import block_conv_macs, conv_macs, count_macs
 from .blas import threads as blas_threads
 from .blocks import MldcBlock
 from .model import build_model, default_config
-from .ops import Conv2dLayer, conv2d, gelu
+from .ops import Conv2dLayer, conv2d, gelu, softmax_cross_entropy
 from .reparam import reparameterize_model
 from .tensor import Rng
+from .trainer import AdamWState, adamw_step
 
-BENCH_CASES = ("dilated3x3", "dense_kxk", "depthwise", "mldc_block", "pw_mixer", "model", "gelu")
+BENCH_CASES = ("dilated3x3", "dense_kxk", "depthwise", "mldc_block", "pw_mixer", "model", "gelu",
+               "train_step")
 
 
 @dataclass
@@ -101,6 +103,22 @@ def _peak_alloc_mb(fn: Callable[[], None]) -> float:
         tracemalloc.stop()
 
 
+def _train_step(model, x: np.ndarray, labels: np.ndarray) -> Callable[[], None]:
+    """One train step of `model` on (x, labels) at learning rate 0."""
+    model.set_mode("train")
+    params = model.iter_params()
+    state = AdamWState(lr=0.0)
+
+    def step() -> None:
+        logits = model.forward(x)
+        _, grad = softmax_cross_entropy(logits, labels)
+        model.zero_grad()
+        model.backward(grad, input_grad=False)
+        adamw_step([(name, p.value) for name, p in params],
+                   {name: p.grad for name, p in params}, state)
+    return step
+
+
 def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
                dilation: int = 3, kernel: int = 7, variant: str = "ti",
                fused: bool = False, seed: int = 0) -> BenchResult:
@@ -112,8 +130,12 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
     conv at the given dilation, C >= 2), "mldc_block", "pw_mixer"
     (MLDC block with a pointwise mixer), "model" (full variant forward,
     optionally reparameterized), "gelu" (f32 `gelu`, which has no MACs and
-    reports `melems_per_s` instead).  The result's `threads` is what OpenBLAS
-    reports outside the timed calls.  A "model" forward of N >= 2 runs as
+    reports `melems_per_s` instead), "train_step" (one train step of the
+    variant as `trainer.train_toy` runs it: forward, softmax cross-entropy,
+    `zero_grad`, a backward with no input gradient and `adamw_step`, on
+    seeded labels; the learning rate is 0, so every step does the same work
+    on the same weights, and `macs` counts the forward only).  The result's
+    `threads` is what OpenBLAS reports outside the timed calls.  A "model" forward of N >= 2 runs as
     `workers` batch slices, one per usable CPU, with OpenBLAS pinned to one
     thread meanwhile (see `RapidNetModel.forward`); the op cases leave
     numpy's threading as it is.  `peak_alloc_mb` is the `tracemalloc` peak of
@@ -160,14 +182,19 @@ def bench_case(case: str, shape: Sequence[int], protocol: BenchProtocol, *,
         label = "gelu"
     else:
         if c != 3 or h != w or h % 32 != 0:
-            raise ValueError(f"model case needs shape N,3,R,R with R divisible by 32, got {shape}")
+            raise ValueError(f"{case} case needs shape N,3,R,R with R divisible by 32, "
+                             f"got {shape}")
         model = build_model(default_config(variant))
         if fused:
             model, _ = reparameterize_model(model)
         macs = count_macs(model, h) * n
-        fn = lambda: model.forward(x)
-        workers = model.workers(n)
-        label = f"model({variant}{', fused' if fused else ''})"
+        if case == "model":
+            fn = lambda: model.forward(x)
+            workers = model.workers(n)
+            label = f"model({variant}{', fused' if fused else ''})"
+        else:
+            fn = _train_step(model, x, rng.integers(0, model.config.num_classes, size=n))
+            label = f"train_step({variant}{', fused' if fused else ''})"
 
     rounds = _time_case(fn, protocol)
     peak_alloc_mb = _peak_alloc_mb(fn)

@@ -31,10 +31,11 @@ GeLU, the GeLU input z and Phi(z).  Slots a stage has no layer for hold
 None.  A group with a GeLU pushes its pre-GeLU sum and that sum's Phi; one
 without pushes nothing.  `backward(grad_out, tape)` pops them in
 reverse, accumulates parameter gradients and returns the gradient w.r.t.
-the block input.  The `DISCARD` tape runs train mode and records nothing,
-for a forward that no backward follows.  Blocks whose BN layers have been
-folded away (see `reparam`) carry `None` in the BN slots and skip
-normalization, and a fused CPE stage carries `skip=False`.
+the block input, or None with `input_grad=False`, which spares the first
+group's stages their input gradient.  The `DISCARD` tape runs train mode
+and records nothing, for a forward that no backward follows.  Blocks whose
+BN layers have been folded away (see `reparam`) carry `None` in the BN
+slots and skip normalization, and a fused CPE stage carries `skip=False`.
 
 A forward whose tape records nothing (`None` or `DISCARD`) reuses buffers
 that nothing else reads, through the ops' `out=`, with the bits of a
@@ -168,7 +169,7 @@ def _fills_own_input(st: Stage, x) -> bool:
             and out_shape(h, w, st.conv) == (h, w))
 
 
-def _stage_backward(st: Stage, grad, tape):
+def _stage_backward(st: Stage, grad, tape, input_grad: bool = True):
     x, y, stats, z, cdf = tape.pop()
     if st.act:
         grad = gelu_backward(z, grad, cdf)
@@ -177,12 +178,14 @@ def _stage_backward(st: Stage, grad, tape):
         _accumulate(st.bn, r)
         grad = r.grad_input
     if st.conv is None:
-        return global_avg_pool_backward(x, grad)
+        return global_avg_pool_backward(x, grad) if input_grad else None
     if isinstance(st.conv, LinearLayer):
         r = linear_backward(x, st.conv, grad)
     else:
-        r = conv2d_backward(x, st.conv, grad)
+        r = conv2d_backward(x, st.conv, grad, input_grad=input_grad)
     _accumulate(st.conv, r)
+    if not input_grad:
+        return None
     return r.grad_input + grad if st.skip else r.grad_input
 
 
@@ -200,11 +203,12 @@ def _parallel_forward(group: Parallel, x, tape, own: bool):
     return out
 
 
-def _parallel_backward(group: Parallel, grad, tape):
+def _parallel_backward(group: Parallel, grad, tape, input_grad: bool = True):
     if group.act:
         pre, cdf = tape.pop()
         grad = gelu_backward(pre, grad, cdf)
-    return reduce(np.add, [_stage_backward(st, grad, tape) for st in reversed(group.stages)])
+    grads = [_stage_backward(st, grad, tape, input_grad) for st in reversed(group.stages)]
+    return reduce(np.add, grads) if input_grad else None
 
 
 class _Block:
@@ -253,10 +257,16 @@ class _Block:
             return h
         return add(x, h, out=None if _keeps(tape) else h)
 
-    def backward(self, grad_out: np.ndarray, tape: list) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, tape: list,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """Accumulate the plan's parameter gradients and return the input
+        gradient; with `input_grad=False` the first group computes none and
+        None is returned."""
         g = grad_out
-        for group in reversed(self.plan):
-            g = _parallel_backward(group, g, tape)
+        for i in reversed(range(len(self.plan))):
+            g = _parallel_backward(self.plan[i], g, tape, input_grad or i > 0)
+        if g is None:
+            return None
         return grad_out + g if self.residual else g
 
 

@@ -34,7 +34,7 @@ from .blocks import (
 )
 from .errors import ConfigError, GeometryError, ShapeError, StateError
 from .ops import BatchNorm2d, Param
-from .tensor import Rng, resolve_dtype
+from .tensor import Rng, arena, randn, resolve_dtype
 
 
 def _plain(value):
@@ -186,6 +186,7 @@ class RapidNetModel:
         self._blocks = list(blocks)
         self.mode = "eval"
         self._tape: Optional[list] = None  # the last train-mode forward's record
+        self._grad_arena = False  # whether backward has given every Param its grad slot
 
     # -- structure ---------------------------------------------------------
 
@@ -294,32 +295,68 @@ class RapidNetModel:
             x = blk.forward(x, tape)
         return x
 
-    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+    def backward(self, grad_logits: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         """Propagate loss gradients back through the whole network.
 
         Consumes the preceding train-mode forward's tape, accumulates into
-        each parameter's grad slot and returns the gradient w.r.t. the input.
+        each parameter's grad and returns the gradient w.r.t. the input.
+        With `input_grad=False` the stem's first conv skips its input
+        gradient (a col2im scatter as large as the input) and None is
+        returned; every parameter gradient is the same bits either way.
+        The first backward allocates one grad arena laid out like
+        `iter_params` and gives each Param its view as `slot`, so the
+        gradients of every later step land in that one buffer, where
+        `trainer.adamw_step` updates them in one pass.
         """
         if self._tape is None:
             raise StateError("backward needs a train-mode forward since the last backward")
         tape, self._tape = self._tape, None
+        if not self._grad_arena:
+            params = [p for _, p in self.iter_params()]
+            for p, slot in zip(params, arena([p.shape for p in params], self.dtype)):
+                p.slot = slot
+            self._grad_arena = True
         g = grad_logits
-        for _, blk in reversed(self._blocks):
-            g = blk.backward(g, tape)
+        for i in reversed(range(len(self._blocks))):
+            g = self._blocks[i][1].backward(g, tape, input_grad or i > 0)
         return g
+
+
+class _InitDraws:
+    """Stands in for the init `Rng` while `build_model` lays out the blocks.
+
+    Each normal draw a layer asks for is recorded, in order, and answered
+    with a read-only zero-stride placeholder of its shape, which takes no
+    memory.
+    """
+
+    def __init__(self):
+        self.draws: List[Tuple[np.ndarray, float, float]] = []  # (placeholder, mean, std)
+
+    def normal(self, shape, mean: float = 0.0, std: float = 1.0, dtype=np.float32) -> np.ndarray:
+        placeholder = np.broadcast_to(np.zeros((), resolve_dtype(dtype)), tuple(shape))
+        self.draws.append((placeholder, mean, std))
+        return placeholder
 
 
 def build_model(cfg: ModelConfig, dtype="f32", *, init: bool = True) -> RapidNetModel:
     """Construct and deterministically initialize a model from its config.
 
-    With `init=False` every conv and linear tensor is zero-filled instead of
-    drawn from the seeded He/normal init: the structure for callers that
-    read only shapes or overwrite every tensor (`weights_io.load`).  Zero
-    pages stay untouched until something writes them.
+    Every parameter is allocated once, in one value arena (`tensor.arena`,
+    in `iter_params` order, each tensor 64-byte aligned): the blocks are
+    built over placeholders (`_InitDraws`), the arena is allocated, each
+    `Param.value` becomes its view, and the seeded He/normal draws are
+    streamed into the views in the order the layers asked for them, with
+    the bits of drawing each tensor on its own.  BN running statistics are
+    buffers and own their memory.  With `init=False` every conv and linear
+    tensor stays zero instead: the structure for callers that read only
+    shapes or overwrite every tensor (`weights_io.load`).  Zero pages stay
+    untouched until something writes them.
     """
     cfg.validate()
     dt = resolve_dtype(dtype)
-    kw = dict(rng=Rng(cfg.seed) if init else None, dtype=dt)
+    init_draws = _InitDraws()
+    kw = dict(rng=init_draws, dtype=dt)
 
     blocks: List[Tuple[str, object]] = [("stem", StemBlock(3, cfg.stages[0].channels, **kw))]
     for i, st in enumerate(cfg.stages, start=1):
@@ -336,4 +373,20 @@ def build_model(cfg: ModelConfig, dtype="f32", *, init: bool = True) -> RapidNet
             blocks.append((f"down{i}", DownsampleBlock(st.channels, cfg.stages[i].channels, **kw)))
     blocks.append(("head", HeadBlock(cfg.stages[3].channels, cfg.num_classes,
                                      hidden=cfg.head_hidden, **kw)))
-    return RapidNetModel(cfg, blocks)
+    model = RapidNetModel(cfg, blocks)
+
+    params = [p for _, p in model.iter_params()]
+    drawn = {id(placeholder) for placeholder, _, _ in init_draws.draws}
+    views = {}  # id(placeholder) -> the arena view that replaces it
+    for p, view in zip(params, arena([p.shape for p in params], dt)):
+        if id(p.value) in drawn:
+            views[id(p.value)] = view
+        else:  # a bias or BN affine tensor: a few KB, copied
+            view[...] = p.value
+        p.value = view
+    if init:
+        rng = Rng(cfg.seed)
+        for placeholder, mean, std in init_draws.draws:
+            randn(placeholder.shape, rng, mean=mean, std=std, dtype=dt,
+                  out=views[id(placeholder)])
+    return model

@@ -77,19 +77,34 @@ _DW_BLOCK_BYTES = 1 << 18
 
 
 class Param:
-    """A learnable tensor together with its gradient accumulator."""
+    """A learnable tensor together with its gradient accumulator.
 
-    __slots__ = ("value", "grad")
+    `value` is updated in place and never rebound: in a built model it is a
+    view of the model's one parameter arena (`model.build_model`), which
+    checkpoint loads and AdamW write through.  `grad` is None until the first
+    `accumulate` after `zero_grad`.  Given a `slot`, a preallocated array of
+    the value's shape and dtype (the model's grad arena, bound on its first
+    backward), the first `accumulate` copies into it and makes it `grad`,
+    and later ones add in place; without one it copies into a new array.
+    Copying first keeps a -0.0 gradient entry, which adding onto zeros
+    would turn into +0.0.
+    """
+
+    __slots__ = ("value", "grad", "slot")
 
     def __init__(self, value: np.ndarray):
         self.value = value
         self.grad: Optional[np.ndarray] = None
+        self.slot: Optional[np.ndarray] = None
 
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif self.slot is None:
             self.grad = g.copy()
         else:
-            self.grad += g
+            np.copyto(self.slot, g, casting="no")
+            self.grad = self.slot
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -103,7 +118,7 @@ class Param:
 class GradResult:
     """Gradient of a scalar objective w.r.t. a layer's input and parameters."""
 
-    grad_input: np.ndarray
+    grad_input: Optional[np.ndarray]  # None when the caller asked for none
     grad_params: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -497,9 +512,10 @@ def _dw_conv(x: np.ndarray, w: np.ndarray, padding: int, dilation: int,
     return out
 
 
-def _dw_conv_backward(x: np.ndarray, conv: Conv2dLayer,
-                      grad_out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(grad_x, grad_w as [C, k, k]) of `_dw_conv` with the layer's weight.
+def _dw_conv_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray,
+                      input_grad: bool = True) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """(grad_x, grad_w as [C, k, k]) of `_dw_conv` with the layer's weight;
+    grad_x is None without `input_grad`.
 
     grad_x is `_dw_conv` itself, run over grad_out with the kernel rotated by
     180 degrees and padding e - p, e = (k-1)*d (Dumoulin & Visin, "A guide
@@ -535,6 +551,8 @@ def _dw_conv_backward(x: np.ndarray, conv: Conv2dLayer,
         for i, *_ in plan.rows:
             np.matmul(go_t, flat[:, i * d * step:(i * d + oh) * step], out=pr)
             grad_w[lo:hi, i, live_cols] = pr[:, xs, diag].sum(axis=-1)
+    if not input_grad:
+        return None, grad_w
     crop = max(0, p - e)
     grad_x = _dw_conv(grad_out[:, :, crop:oh - crop, crop:ow - crop], w[:, ::-1, ::-1],
                       max(0, e - p), d)
@@ -622,8 +640,12 @@ def conv2d_naive(x: np.ndarray, conv: Conv2dLayer) -> np.ndarray:
     return out
 
 
-def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> GradResult:
+def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray, *,
+                    input_grad: bool = True) -> GradResult:
     """Gradients of sum(grad_out * conv2d(x)) w.r.t. input, weight, and bias.
+
+    With `input_grad=False` the input gradient is not computed and
+    `grad_input` is None; the parameter gradients are the same bits.
 
     Dispatched like `conv2d`.  Pointwise: grad_x = W^T @ grad_out per image
     and grad_w one contraction over (image, pixel).  Depthwise: grad_x is the
@@ -647,9 +669,9 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
     if kind == "pointwise":
         go = grad_out.reshape(n, o, h * w)
         grad_w = _channel_major(go) @ _channel_major(x).T
-        grad_x = np.matmul(wv.reshape(o, c).T, go).reshape(x.shape)
+        grad_x = np.matmul(wv.reshape(o, c).T, go).reshape(x.shape) if input_grad else None
     elif kind == "depthwise":
-        grad_x, grad_w = _dw_conv_backward(x, conv, grad_out)
+        grad_x, grad_w = _dw_conv_backward(x, conv, grad_out, input_grad)
     else:
         rows, cols, live_w = _im2col_plan(x, conv, oh, ow)
         ki, kj = len(rows), len(cols)
@@ -661,8 +683,11 @@ def conv2d_backward(x: np.ndarray, conv: Conv2dLayer, grad_out: np.ndarray) -> G
             live = np.ix_([t[0] for t in rows], [t[0] for t in cols])
             grad_w, live_grad_w = np.zeros(wv.shape, dtype=grad_w.dtype), grad_w
             grad_w[:, :, live[0], live[1]] = live_grad_w
-        gcol = np.matmul(live_w.reshape(g, o // g, kk).transpose(0, 2, 1), go)
-        grad_x = _col2im(gcol.reshape(n, c, ki, kj, oh, ow), x.shape, conv.stride, rows, cols)
+        grad_x = None
+        if input_grad:
+            gcol = np.matmul(live_w.reshape(g, o // g, kk).transpose(0, 2, 1), go)
+            grad_x = _col2im(gcol.reshape(n, c, ki, kj, oh, ow), x.shape, conv.stride,
+                             rows, cols)
     grads = {"weight": grad_w.reshape(conv.weight.shape)}
     if conv.bias is not None:
         grads["bias"] = grad_out.sum(axis=(0, 2, 3))

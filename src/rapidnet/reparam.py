@@ -101,12 +101,12 @@ def _folded_conv(st: Stage):
 
 def _unfolded_conv(st: Stage):
     """The stage's conv as `_folded_conv` shapes it, with no arithmetic: its own
-    tensors, plus a zero bias where folding a BN would add one."""
+    tensors, plus the BN's beta tensor as the bias where folding would add
+    one, so every tensor stays where the source model holds it."""
     conv = st.conv
     if st.bn is None or conv.bias is not None:
         return conv
-    w = conv.weight.value
-    return Conv2dLayer(w, np.zeros(conv.out_channels, dtype=w.dtype), stride=conv.stride,
+    return Conv2dLayer(conv.weight.value, st.bn.beta.value, stride=conv.stride,
                        padding=conv.padding, dilation=conv.dilation, groups=conv.groups)
 
 
@@ -148,7 +148,8 @@ def fused_structure(model: RapidNetModel) -> RapidNetModel:
 
     For a caller that overwrites every tensor next, as `weights_io.load` of a
     fused checkpoint does: no skip or BN is folded, and each conv keeps the
-    source model's tensors, so the source model must not be used afterwards.
+    source model's tensors (a folded bias takes the BN's beta tensor), so
+    the source model must not be used afterwards.
     """
     return _fused(model, _unfolded_conv)
 

@@ -8,13 +8,20 @@ hands one in as `out=`, the array to write the result into.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import itertools
+import math
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
 
 DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
+
+# f64 samples drawn per block (128 KiB): a draw's transient, whatever its size.
+_DRAW_BLOCK = 1 << 14
+# Where each tensor of an `arena` starts: one cache line, the widest SIMD load.
+ARENA_ALIGN = 64
 
 
 def resolve_dtype(dtype) -> np.dtype:
@@ -46,8 +53,12 @@ class Rng:
         return randn(shape, self, mean=mean, std=std, dtype=dtype)
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0, dtype=np.float32) -> np.ndarray:
-        check_shape(shape)
-        return self._gen.uniform(low, high, size=tuple(shape)).astype(dtype)
+        """Samples of U[low, high), the bits of numpy's `uniform` cast to `dtype`,
+        drawn block by block as `randn` draws."""
+        span = high - low
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        return _draw(self._gen.random, check_shape(shape), span, low, dtype, None)
 
     def integers(self, low: int, high: int, size=None):
         return self._gen.integers(low, high, size=size)
@@ -65,14 +76,75 @@ def check_shape(shape: Sequence[int]) -> tuple:
 
 
 def randn(shape: Sequence[int], rng: Rng, mean: float = 0.0, std: float = 1.0,
-          dtype=np.float32) -> np.ndarray:
-    """Draw i.i.d. normal samples; deterministic given the rng state."""
+          dtype=np.float32, *, out=None) -> np.ndarray:
+    """Draw i.i.d. normal samples; deterministic given the rng state.
+
+    The f64 samples are drawn, scaled and shifted in one reused block of
+    `_DRAW_BLOCK` elements and then written into the result in `dtype`, so
+    the only memory a draw takes beyond its result is that block.  The bits
+    and the stream position after the draw are those of one
+    `standard_normal` call over the whole shape, `* std + mean` and `astype`.
+    With `out` (see `check_out`) the samples are written there.
+    """
     dims = check_shape(shape)
     if std < 0:
         raise ValueError(f"std must be >= 0, got {std}")
-    out = rng._gen.standard_normal(dims, dtype=np.float64)
-    out = out * std + mean
-    return out.astype(resolve_dtype(dtype))
+    return _draw(rng._gen.standard_normal, dims, std, mean, dtype, out)
+
+
+def _draw(fill, dims: tuple, scale: float, shift: float, dtype, out) -> np.ndarray:
+    """`fill(out=block)` f64 samples, each times `scale` plus `shift`, written
+    into `out` (or a new array) of `dims` and `dtype` one block at a time."""
+    dt = resolve_dtype(dtype)
+    out = np.empty(dims, dt) if out is None else check_out(out, dims, dt)
+    flat = out.reshape(-1)
+    block = np.empty(min(flat.size, _DRAW_BLOCK))
+    for lo in range(0, flat.size, block.size):
+        buf = block[:flat.size - lo]
+        fill(out=buf)
+        buf *= scale
+        buf += shift
+        flat[lo:lo + buf.size] = buf
+    return out
+
+
+def arena(shapes: Sequence[Sequence[int]], dtype) -> List[np.ndarray]:
+    """Zero-filled C-contiguous arrays of `shapes`, in order, as views of one buffer.
+
+    Each array starts at the first `ARENA_ALIGN`-byte boundary at or after
+    the end of the one before; the gaps stay zero.  `arena_span` recognises
+    that layout.
+    """
+    dt = resolve_dtype(dtype)
+    step = ARENA_ALIGN // dt.itemsize
+    sizes = [math.prod(s) for s in shapes]
+    offsets = list(itertools.accumulate((-(-n // step) * step for n in sizes), initial=0))
+    raw = np.zeros(offsets[-1] + step, dt)  # room to move the start to a boundary
+    start = (-raw.ctypes.data % ARENA_ALIGN) // dt.itemsize
+    return [raw[start + o:start + o + n].reshape(s) for o, n, s in zip(offsets, sizes, shapes)]
+
+
+def arena_span(arrays: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """The 1-D view from the first array's start to the last one's end when
+    `arrays` lie in one buffer as `arena` lays them out; otherwise None."""
+    if not arrays:
+        return None
+    base, dt = arrays[0].base, arrays[0].dtype
+    if (not isinstance(base, np.ndarray) or base.dtype != dt or base.ndim != 1
+            or not base.flags.c_contiguous):
+        return None
+    origin = base.ctypes.data
+    addr = arrays[0].ctypes.data
+    if addr % ARENA_ALIGN:
+        return None
+    for a in arrays:
+        if (a.base is not base or a.dtype != dt or not a.flags.c_contiguous
+                or not a.flags.writeable or a.ctypes.data != addr):
+            return None
+        addr += -(-a.nbytes // ARENA_ALIGN) * ARENA_ALIGN
+    lo = (arrays[0].ctypes.data - origin) // dt.itemsize
+    return base[lo:lo + (arrays[-1].ctypes.data + arrays[-1].nbytes - arrays[0].ctypes.data)
+                // dt.itemsize]
 
 
 def check_out(out, shape, dtype, src: Optional[np.ndarray] = None) -> np.ndarray:

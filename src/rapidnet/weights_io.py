@@ -17,13 +17,16 @@ round trip reproduces the model bitwise.  The config blob makes the file
 self-describing.  `load` makes two passes over the file and holds one copy
 of the weights.  The first reads the entry table (name, dtype, dims and
 where each payload starts) and seeks over the payloads.  It then builds a
-zero-filled structure from the config (no random init), checks every conv
+zero-filled structure from the config (no random init), whose parameters
+are views of one arena (`model.build_model`), checks every conv
 and linear weight's name and shape against the table, and gives the
 structure the fused form when the file is fused (`reparam.fused_structure`:
 no BN is folded, since the fill overwrites every tensor; the equivalence
 forward lives in `reparam.reparameterize_model`, which export and verify
-run).  The second pass reads each payload straight into its tensor, in file
-order: a byte copy of little-endian scalars.
+run; a folded bias is the BN's beta view).  The second pass reads each
+payload straight into its tensor, in file order: a byte copy of
+little-endian scalars into an arena view for every parameter, and into its
+own array for every BN buffer.
 The blob must carry every config field plus "fused" (a JSON bool) and
 "dtype", which every entry must have; `save` writes them all, so a missing
 or mistyped key is a `CorruptFileError` and an entry of another dtype an

@@ -154,3 +154,22 @@ class TestBenchCase:
     def test_model_case_shape_validated(self):
         with pytest.raises(ValueError):
             bench_case("model", (1, 4, 32, 32), FAST, variant="micro")
+        with pytest.raises(ValueError):
+            bench_case("train_step", (1, 4, 32, 32), FAST, variant="micro")
+
+    def test_train_step(self, monkeypatch):
+        # each timed call is forward, loss, zero_grad, backward and AdamW
+        import rapidnet.bench as bench_mod
+
+        calls = []
+        real = bench_mod.adamw_step
+        monkeypatch.setattr(bench_mod, "adamw_step",
+                            lambda *a: calls.append(a[2].lr) or real(*a))
+        result = bench_case("train_step", (4, 3, 32, 32), FAST, variant="micro")
+        assert result.label == "train_step(micro)" and result.workers is None
+        assert result.macs == count_macs(build_model(default_config("micro")), 32) * 4
+        assert result.min_ns <= result.median_ns
+        assert len(calls) == FAST.warmup + FAST.rounds * FAST.iters_per_round + 1
+        assert set(calls) == {0.0}
+        # the step's activations and gradients, less than a 224 px model's
+        assert 4 * 3 * 32 * 32 * 4 <= result.peak_alloc_mb * 1e6 < 16e6

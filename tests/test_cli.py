@@ -278,6 +278,13 @@ class TestTrainToy:
         assert out == ""
         assert f"error: argument {flag}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("size", ["0", "-32", "16"])
+    def test_image_size_below_32_exits_one(self, size, capsys):
+        code, out, err = run(["train-toy", "--steps", "1", "--samples", "4",
+                              "--image-size", size], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: image_size {size} must be a positive multiple of 32\n"
+
     @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
     def test_non_positive_or_non_finite_lr_exits_one(self, lr, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -27,7 +27,7 @@ from rapidnet.model import (
     build_model,
     default_config,
 )
-from rapidnet.ops import Param, softmax_cross_entropy
+from rapidnet.ops import BatchNorm2d, LinearLayer, Param, softmax_cross_entropy
 from rapidnet.reparam import fuse_model, recalibrate_bn
 from rapidnet.tensor import Rng
 
@@ -154,6 +154,58 @@ class TestBuild:
             build_model(cfg)
 
 
+class TestArena:
+    """`build_model` allocates every parameter once, in one arena."""
+
+    def test_ti_build_peak_is_its_tensors(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            model = build_model(default_config("ti"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(p.value.nbytes for _, p in model.iter_params())
+        kept += sum(b.nbytes for _, b in model.iter_buffers())
+        assert peak <= 1.05 * kept
+
+    @pytest.mark.parametrize("init", [True, False])
+    def test_params_are_aligned_disjoint_views_in_order(self, init):
+        from rapidnet.tensor import ARENA_ALIGN
+
+        model = build_model(default_config("micro"), init=init)
+        values = [p.value for _, p in model.iter_params()]
+        base = values[0].base
+        assert base is not None and base.flags.owndata
+        assert all(v.base is base and v.flags.writeable and v.flags.c_contiguous
+                   and v.ctypes.data % ARENA_ALIGN == 0 for v in values)
+        assert all(a.ctypes.data + a.nbytes <= b.ctypes.data for a, b in zip(values, values[1:]))
+        assert all(b.flags.owndata for _, b in model.iter_buffers())
+        weights = [p.value for n, p in model.iter_params() if n.endswith(".weight")]
+        assert all(w.any() == init for w in weights)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_init_is_each_weight_drawn_alone_in_layer_order(self, dtype):
+        # conv weights He-normal (fan-out), linear weights N(0, 0.02), everything
+        # else constant; the layers ask for their draws in iter_params order
+        model = build_model(default_config("micro"), dtype=dtype)
+        rng = Rng(model.config.seed)
+        for _, blk in model.named_blocks():
+            for _, layer in blk.named_layers():
+                if isinstance(layer, BatchNorm2d):
+                    assert (layer.gamma.value == 1).all() and not layer.beta.value.any()
+                    continue
+                if isinstance(layer, LinearLayer):
+                    std = 0.02
+                else:
+                    std = (2.0 / (layer.out_channels * layer.kernel_size ** 2
+                                  // layer.groups)) ** 0.5
+                want = rng.normal(layer.weight.shape, std=std, dtype=dtype)
+                assert layer.weight.value.tobytes() == want.tobytes()
+                assert layer.bias is None or not layer.bias.value.any()
+
+
 class TestForward:
     def test_ti_224(self):
         model = build_model(default_config("ti"))
@@ -214,6 +266,41 @@ class TestTape:
         model.forward(Rng(3).normal((2, 3, 32, 32)))  # eval mode records nothing
         with pytest.raises(StateError):
             model.backward(np.zeros((2, 8), np.float32))
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_no_input_gradient_same_parameter_gradients(self, dtype):
+        grads = []
+        for input_grad in (True, False):
+            model = build_model(default_config("micro"), dtype=dtype)
+            model.set_mode("train")
+            logits = model.forward(Rng(3).normal((2, 3, 32, 32), dtype=dtype))
+            gx = model.backward(softmax_cross_entropy(logits, [1, 5])[1], input_grad=input_grad)
+            assert (gx is None) == (not input_grad)
+            grads.append([(n, p.grad.tobytes()) for n, p in model.iter_params()])
+        assert grads[0] == grads[1]
+
+    def test_input_gradient_skips_the_stems_first_conv_only(self, monkeypatch):
+        import rapidnet.blocks as blocks_mod
+
+        seen = []
+        real = blocks_mod.conv2d_backward
+        monkeypatch.setattr(blocks_mod, "conv2d_backward", lambda x, conv, g, input_grad:
+                            seen.append(input_grad) or real(x, conv, g, input_grad=input_grad))
+        model, grad = self.trained_forward()
+        model.backward(grad, input_grad=False)
+        assert seen[-1] is False and all(seen[:-1])
+
+    def test_grad_arena_bound_on_first_backward(self):
+        model = build_model(default_config("micro"))
+        params = [p for _, p in model.iter_params()]
+        model.forward(Rng(3).normal((2, 3, 32, 32)))  # eval: no gradient memory
+        assert all(p.slot is None and p.grad is None for p in params)
+        model.set_mode("train")
+        model.backward(softmax_cross_entropy(model.forward(Rng(3).normal((2, 3, 32, 32))),
+                                             [1, 5])[1])
+        base = params[0].slot.base
+        assert all(p.grad is p.slot and p.slot.base is base for p in params)
+        assert not np.shares_memory(base, params[0].value)
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_set_mode_drops_the_tape(self, mode):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from rapidnet import tensor
 from rapidnet.errors import ShapeError
-from rapidnet.tensor import Rng, add, randn
+from rapidnet.tensor import ARENA_ALIGN, Rng, add, arena, arena_span, randn
+
+BLOCK = tensor._DRAW_BLOCK
+# sizes on both sides of one and several draw blocks
+STRADDLING = [(1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3, BLOCK + 5), (2, 3, BLOCK // 3 + 2),
+              (4 * BLOCK - 7,)]
 
 
 class TestRandn:
@@ -40,6 +46,76 @@ class TestRandn:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ShapeError):
             randn([2, -1], Rng(0))
+
+
+class TestStreamedDraws:
+    """Draws go through one reused block; the bits and the stream position are
+    those of one numpy draw over the whole shape."""
+
+    @pytest.mark.parametrize("shape", STRADDLING)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_randn_is_one_shot_draw(self, shape, dtype):
+        gen = np.random.Generator(np.random.PCG64(11))
+        want = (gen.standard_normal(shape) * 0.3 + 1.5).astype(dtype)
+        rng = Rng(11)
+        got = randn(shape, rng, mean=1.5, std=0.3, dtype=dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert rng._gen.standard_normal(5).tobytes() == gen.standard_normal(5).tobytes()
+
+    @pytest.mark.parametrize("shape", STRADDLING)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uniform_is_one_shot_draw(self, shape, dtype):
+        gen = np.random.Generator(np.random.PCG64(12))
+        want = gen.uniform(-0.7, 2.5, size=shape).astype(dtype)
+        rng = Rng(12)
+        got = rng.uniform(shape, -0.7, 2.5, dtype=dtype)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert rng._gen.random(5).tobytes() == gen.random(5).tobytes()
+
+    def test_draw_into_out(self):
+        out = np.full((3, BLOCK + 1), np.nan, dtype=np.float32)
+        assert randn(out.shape, Rng(3), std=2.0, out=out) is out
+        assert out.tobytes() == randn(out.shape, Rng(3), std=2.0).tobytes()
+        with pytest.raises(ValueError):
+            randn(out.shape, Rng(3), dtype="f64", out=out)
+
+    def test_transient_is_one_block(self):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            x = randn((64, BLOCK), Rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - x.nbytes < 8 * BLOCK + 64 * 1024
+
+    def test_uniform_range_must_be_finite(self):
+        with pytest.raises(OverflowError):
+            Rng(0).uniform((2,), -1e308, 1e308)
+
+
+class TestArena:
+    def test_aligned_disjoint_zeroed_views_in_order(self):
+        shapes = [(3,), (5, 7), (1,), (16,), (2, 3, 4, 5)]
+        for dtype in ("f32", "f64"):
+            views = arena(shapes, dtype)
+            assert [v.shape for v in views] == shapes
+            base = views[0].base
+            starts = [v.ctypes.data for v in views]
+            assert all(v.base is base and not v.any() for v in views)
+            assert all(s % ARENA_ALIGN == 0 for s in starts)
+            assert all(v.ctypes.data + v.nbytes <= nxt for v, nxt in zip(views, starts[1:]))
+            span = arena_span(views)
+            assert span.base is base and span.ctypes.data == starts[0]
+            assert span.ctypes.data + span.nbytes == starts[-1] + views[-1].nbytes
+
+    def test_span_refuses_other_layouts(self):
+        views = arena([(3,), (5,), (8,)], "f32")
+        assert arena_span(views[::-1]) is None          # out of order
+        assert arena_span([views[0], views[2]]) is None  # a slot left out
+        assert arena_span([np.zeros(3, np.float32)]) is None  # owns its data
+        assert arena_span([views[0], np.zeros(5, np.float32), views[2]]) is None
+        assert arena_span([]) is None
 
 
 class TestElementwise:

@@ -22,6 +22,7 @@ from conftest import (
     widen_stage4,
 )
 from rapidnet import reparam, weights_io
+from rapidnet.blocks import stages
 from rapidnet.errors import (
     CheckpointError,
     CorruptFileError,
@@ -32,7 +33,7 @@ from rapidnet.errors import (
 from rapidnet.model import RapidNetModel, StageConfig, build_model, default_config
 from rapidnet.ops import Conv2dLayer
 from rapidnet.reparam import count_batchnorms, reparameterize_model
-from rapidnet.tensor import Rng, resolve_dtype
+from rapidnet.tensor import ARENA_ALIGN, Rng, resolve_dtype
 from rapidnet.weights_io import MAGIC, load, save
 
 
@@ -167,9 +168,11 @@ class TestFastLoad:
         assert loaded.dtype == model.dtype
         assert_models_equal(model, loaded)
         assert conv_geometry(loaded) == conv_geometry(model)
-        tensors = [p.value for _, p in loaded.iter_params()]
-        tensors += [buf for _, buf in loaded.iter_buffers()]
-        assert all(t.flags.writeable and t.flags.owndata for t in tensors)
+        # params are writeable aligned views of one arena; buffers own their data
+        params = [p.value for _, p in loaded.iter_params()]
+        assert all(t.flags.writeable and t.ctypes.data % ARENA_ALIGN == 0 for t in params)
+        assert len({id(t.base) for t in params}) == 1 and params[0].base.flags.owndata
+        assert all(buf.flags.writeable and buf.flags.owndata for _, buf in loaded.iter_buffers())
         x = Rng(8).normal((2, 3, 32, 32), dtype=model.dtype)
         assert model.forward(x).tobytes() == loaded.forward(x).tobytes()
 
@@ -219,11 +222,12 @@ class TestFastLoad:
             [(n, p.shape, p.value.dtype) for n, p in fused.iter_params()]
         assert shell.iter_buffers() == [] == fused.iter_buffers()
         assert conv_geometry(shell) == conv_geometry(fused)
+        # a bias that folding would add is the tensor of the BN it replaces
+        betas = {f"{bname}.{stage.name}.bias": stage.bn.beta.value
+                 for bname, blk in source.named_blocks() for stage in stages(blk.plan)
+                 if stage.bn is not None}
         for name, p in shell.iter_params():
-            if name in weights:
-                assert p.value is weights[name]
-            else:
-                assert name.endswith(".bias") and not p.value.any()
+            assert p.value is (weights[name] if name in weights else betas[name])
 
 
 class TestDerivedState:
